@@ -49,7 +49,7 @@ def run_pipeline(
     seed: int = 0,
 ) -> PipelineResult:
     lines: list[str] = []
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     rho_star = verify_contraction(spec.lf, spec.system)
     seq = level_sequence(spec.gamma_d, spec.gamma_x, spec.lf.rho)
@@ -69,7 +69,7 @@ def run_pipeline(
     )
     lines.append(
         f"quotient: {len(quotient.states)} states "
-        f"({time.time() - t0:.1f}s)"
+        f"({time.perf_counter() - t0:.1f}s)"
     )
 
     formula = None
@@ -129,5 +129,5 @@ def run_pipeline(
                 lines.append("svg: skipped, plotting supports n=2 only")
         lines.append(f"outputs written to {out_dir}")
 
-    lines.append(f"total time {time.time() - t0:.1f}s")
+    lines.append(f"total time {time.perf_counter() - t0:.1f}s")
     return PipelineResult(quotient, partition, satisfying, lines, EXIT_OK)
