@@ -41,7 +41,6 @@ from .abstraction import (
     initial_partition,
     observation_of,
     quotient_word,
-    refine,
 )
 from .logic import (
     BuchiAutomaton,

@@ -34,8 +34,8 @@ from .lyapunov import (
     LevelSequence,
     LinearSystem,
     PolyhedralLF,
+    descends,
     level_sequence,
-    slice_descent_check,
     slices as make_slices,
     sublevel_cell,
     verify_contraction,
@@ -111,6 +111,8 @@ class Partition:
         self.d_cell = d_cell
         self.d_block_id = d_block_id
         self.outside_target = outside_target
+        # the certified contraction rate, once build_quotient has one
+        self.rho_star: Optional[Fraction] = None
         self._next_id = 1 + max(self.blocks, default=-1)
 
     def fresh_id(self) -> int:
@@ -167,22 +169,57 @@ def observation_of(
     return OBS_EMPTY
 
 
-def _validate_regions(
-    regions: Sequence[ObservedRegion], outside_target: Region
-) -> None:
+# Error codes carried by RegionError; problem files report them as is.
+MALFORMED = "MALFORMED"
+REGION_DOMAIN = "REGION_DOMAIN"
+REGION_OVERLAP = "REGION_OVERLAP"
+
+
+class RegionError(ValueError):
+    """Observed regions that the quotient cannot be built on."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class ValidatedRegions(tuple):
+    """Observed regions proven unique, disjoint and inside X \\ D.
+
+    Carries the cells they were proven against (``x_cell``, ``d_cell`` and
+    the redundancy-free ``outside_target``), so the partition built on them
+    reuses the proof and the cells' cached boxes and samples.
+    """
+
+
+def validate_regions(
+    x_cell: Cell, d_cell: Cell, regions: Sequence[ObservedRegion]
+) -> ValidatedRegions:
+    """Prove that the labels are unique, that each region lies inside the
+    redundancy-free X \\ D, and that the regions are pairwise disjoint."""
     labels = [r.label for r in regions]
     if len(set(labels)) != len(labels):
-        raise ValueError("duplicate region labels")
+        raise RegionError(MALFORMED, "duplicate region labels")
+    outside_target = difference(Region.of([x_cell]), Region.of([d_cell]))
+    outside_target = Region(
+        tuple(remove_redundancy(c) for c in outside_target.cells)
+    )
     for r in regions:
         if not difference(Region.of([r.cell]), outside_target).is_empty():
-            raise ValueError(
-                f"region {r.label} is not contained in the working set "
-                "minus the target set"
+            raise RegionError(
+                REGION_DOMAIN,
+                f"region {r.label} is not inside the working set minus "
+                "the target set",
             )
     for i, a in enumerate(regions):
         for b in regions[i + 1 :]:
             if not cells_disjoint(a.cell, b.cell):
-                raise ValueError(f"regions {a.label} and {b.label} overlap")
+                raise RegionError(
+                    REGION_OVERLAP, f"regions {a.label} and {b.label} overlap"
+                )
+    out = ValidatedRegions(regions)
+    out.x_cell, out.d_cell, out.outside_target = x_cell, d_cell, outside_target
+    return out
 
 
 def initial_partition(
@@ -195,12 +232,16 @@ def initial_partition(
 
     Equivalent to refining {regions, leftover, target} by the slices: each
     slice cell is cut against each region, and what is left is unobserved.
+    Regions already validated against the same X and D are not proven
+    again; any other sequence is, and a failure raises RegionError.
     """
-    outside_target = difference(Region.of([x_cell]), Region.of([d_cell]))
-    outside_target = Region(
-        tuple(remove_redundancy(c) for c in outside_target.cells)
-    )
-    _validate_regions(regions, outside_target)
+    if not (
+        isinstance(regions, ValidatedRegions)
+        and regions.x_cell.constraints == x_cell.constraints
+        and regions.d_cell.constraints == d_cell.constraints
+    ):
+        regions = validate_regions(x_cell, d_cell, regions)
+    x_cell, d_cell = regions.x_cell, regions.d_cell
 
     blocks = []
     d_block = Block(0, d_cell, OBS_TARGET, 0, successor=0)
@@ -235,7 +276,7 @@ def initial_partition(
         x_cell,
         d_cell,
         d_block.id,
-        outside_target,
+        regions.outside_target,
     )
 
 
@@ -253,45 +294,6 @@ def find_pre(
             if not is_empty(inter):
                 cells.append(remove_redundancy(inter))
     return Region(tuple(cells))
-
-
-def refine(partition: Partition, region: Region) -> Partition:
-    """Split every block that straddles the region boundary.
-
-    Pieces inherit observation and slice index; split blocks lose any
-    successor assignment.  The target block is never split: it self-loops,
-    so refining it cannot sharpen the quotient.  Returns a new Partition;
-    the input is unchanged.
-    """
-    new_blocks: list[Block] = []
-    next_id = partition._next_id
-    for b in partition.ordered_blocks():
-        if b.id == partition.d_block_id:
-            new_blocks.append(
-                Block(b.id, b.cell, b.observation, b.slice_index, b.successor)
-            )
-            continue
-        pieces_in, rest, unchanged = _split_cell(b.cell, region)
-        if unchanged:
-            new_blocks.append(
-                Block(b.id, b.cell, b.observation, b.slice_index, b.successor)
-            )
-            continue
-        for piece in pieces_in + rest:
-            new_blocks.append(
-                Block(next_id, piece, b.observation, b.slice_index, None)
-            )
-            next_id += 1
-    out = Partition(
-        partition.dim,
-        new_blocks,
-        partition.slice_regions,
-        partition.x_cell,
-        partition.d_cell,
-        partition.d_block_id,
-        partition.outside_target,
-    )
-    return out
 
 
 def _split_cell(cell: Cell, region: Region):
@@ -328,13 +330,16 @@ def build_quotient(
 ) -> tuple[QuotientTS, Partition]:
     """Run the full abstraction loop and return quotient plus partition.
 
-    Raises ContractionError when neither the declared rate nor the exact
-    slice-descent certificate holds; the refinement loop is only sound on
-    top of a certified descent property.
+    Certifies the contraction rate once and records it as
+    ``partition.rho_star``.  Raises ContractionError when neither the
+    declared rate nor the exact slice-descent certificate holds; the
+    refinement loop is only sound on top of a certified descent property.
+    Raises RegionError (a ValueError) when the regions are not unique,
+    disjoint and inside X \\ D.
     """
     seq = level_sequence(gamma_d, gamma_x, lf.rho)
     rho_star = verify_contraction(lf, sys)
-    if rho_star > lf.rho and not slice_descent_check(lf, sys, seq):
+    if rho_star > lf.rho and not descends(rho_star, seq):
         raise ContractionError(
             f"certified rate {rho_star} exceeds declared {lf.rho} and the "
             "level sequence is not invariant under one step"
@@ -344,6 +349,7 @@ def build_quotient(
     x_cell = sublevel_cell(lf, seq.gammas[-1])
     d_cell = sublevel_cell(lf, seq.gammas[0])
     partition = initial_partition(x_cell, d_cell, regions, slice_regions)
+    partition.rho_star = rho_star
 
     blocks = partition.blocks
     for i in range(seq.n_steps):

@@ -190,16 +190,17 @@ def slices(lf: PolyhedralLF, seq: LevelSequence) -> list[Region]:
     return out
 
 
+def descends(rho_star, seq: LevelSequence) -> bool:
+    """Whether rate rho_star maps each P_{gamma_i}, i >= 1, into
+    P_{gamma_{i-1}}: by positive homogeneity one rate decides every level."""
+    return all(
+        rho_star * seq.gammas[i] <= seq.gammas[i - 1]
+        for i in range(1, len(seq.gammas))
+    )
+
+
 def slice_descent_check(
     lf: PolyhedralLF, sys: LinearSystem, seq: LevelSequence
 ) -> bool:
-    """Exactly verify A.P_{gamma_i} <= P_{gamma_{i-1}} for every i >= 1.
-
-    By positive homogeneity the row maxima over the unit sublevel set
-    scale linearly with gamma, so one LP per row suffices for all levels.
-    """
-    worst = max(unit_ball_row_maxima(lf, sys))
-    return all(
-        worst * seq.gammas[i] <= seq.gammas[i - 1]
-        for i in range(1, len(seq.gammas))
-    )
+    """Exactly verify A.P_{gamma_i} <= P_{gamma_{i-1}} for every i >= 1."""
+    return descends(verify_contraction(lf, sys), seq)

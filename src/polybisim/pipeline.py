@@ -17,12 +17,6 @@ from .abstraction import (
 from .logic import parse_ltl, to_buchi
 from .simulate import cross_validate
 from .verify import f_star, product, satisfying_states
-from .lyapunov import (
-    ContractionError,
-    level_sequence,
-    slice_descent_check,
-    verify_contraction,
-)
 from .problem import ProblemSpec
 from .verify import SatisfyingSet, export_satisfying
 
@@ -51,21 +45,13 @@ def run_pipeline(
     lines: list[str] = []
     t0 = time.perf_counter()
 
-    rho_star = verify_contraction(spec.lf, spec.system)
-    seq = level_sequence(spec.gamma_d, spec.gamma_x, spec.lf.rho)
-    lines.append(
-        f"contraction: certified rho*={float(rho_star):.6f} "
-        f"(declared {float(spec.lf.rho):.6f}), levels N={seq.n_steps}"
-    )
-    if rho_star > spec.lf.rho and not slice_descent_check(
-        spec.lf, spec.system, seq
-    ):
-        raise ContractionError(
-            "declared contraction rate is not certified and slice descent fails"
-        )
-
     quotient, partition = build_quotient(
         spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
+    )
+    lines.append(
+        f"contraction: certified rho*={float(partition.rho_star):.6f} "
+        f"(declared {float(spec.lf.rho):.6f}), "
+        f"levels N={len(partition.slice_regions) - 1}"
     )
     lines.append(
         f"quotient: {len(quotient.states)} states "

@@ -1,28 +1,35 @@
 """Problem-file ingestion.
 
 A problem is one JSON document; every numeric entry is a decimal string
-so it can be parsed digit-exactly into a rational.  All validation lives
-here and failures carry a stable error code, so callers can map them to
-exit codes without string matching.
+so it can be parsed digit-exactly into a rational.  Every failure carries
+a stable error code, so callers can map it to an exit code without string
+matching.  The region geometry is proven by
+``abstraction.validate_regions``, whose result the spec keeps so that the
+quotient build does not prove it again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .abstraction import ObservedRegion
-from .geometry import Cell, Constraint, mat, vec
-from .lyapunov import LinearSystem, PolyhedralLF
+from .abstraction import (
+    MALFORMED,
+    REGION_DOMAIN,
+    REGION_OVERLAP,
+    ObservedRegion,
+    RegionError,
+    ValidatedRegions,
+    validate_regions,
+)
+from .geometry import Cell, Constraint, mat
+from .lyapunov import LinearSystem, PolyhedralLF, sublevel_cell
 
-MALFORMED = "MALFORMED"
 RANK_DEFICIENT = "RANK_DEFICIENT"
 RHO_RANGE = "RHO_RANGE"
 GAMMA_ORDER = "GAMMA_ORDER"
-REGION_OVERLAP = "REGION_OVERLAP"
-REGION_DOMAIN = "REGION_DOMAIN"
 
 
 class ProblemError(ValueError):
@@ -37,7 +44,7 @@ class ProblemSpec:
     lf: PolyhedralLF
     gamma_d: Fraction
     gamma_x: Fraction
-    regions: tuple[ObservedRegion, ...]
+    regions: ValidatedRegions
     formula: Optional[str]
     sample_count: int = 0
 
@@ -53,15 +60,24 @@ def _fraction(value, what: str) -> Fraction:
         raise ProblemError(MALFORMED, f"cannot parse {what}: {value!r}") from exc
 
 
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ProblemError(
+            MALFORMED, f"{what}: expected {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def _matrix(rows, what: str):
-    if not isinstance(rows, list) or not rows:
+    if not _typed(rows, list, what):
         raise ProblemError(MALFORMED, f"{what} must be a non-empty matrix")
-    return mat([[_fraction(v, what) for v in row] for row in rows])
+    return mat(
+        [[_fraction(v, what) for v in _typed(r, list, f"{what} row")] for r in rows]
+    )
 
 
 def parse_problem(doc: dict) -> ProblemSpec:
-    if not isinstance(doc, dict):
-        raise ProblemError(MALFORMED, "problem document must be an object")
+    _typed(doc, dict, "problem document")
     for key in ("A", "L", "rho", "gamma_D", "gamma_X"):
         if key not in doc:
             raise ProblemError(MALFORMED, f"missing field {key!r}")
@@ -90,13 +106,22 @@ def parse_problem(doc: dict) -> ProblemSpec:
             GAMMA_ORDER, f"need 0 < gamma_D < gamma_X, got {gamma_d}, {gamma_x}"
         )
 
+    options = _typed(doc.get("options", {}), dict, "options")
+    sample_count = options.get("sample_count", 0)
+    _typed(sample_count, int, "options.sample_count")
+    formula = doc.get("formula")
+    if formula is not None:
+        _typed(formula, str, "formula")
+
     regions = []
-    for entry in doc.get("regions", []):
+    for entry in _typed(doc.get("regions", []), list, "regions"):
+        _typed(entry, dict, "region")
         for key in ("name", "H", "h"):
             if key not in entry:
                 raise ProblemError(MALFORMED, f"region missing field {key!r}")
         h_mat = _matrix(entry["H"], "region H")
-        h_vec = [_fraction(v, "region h") for v in entry["h"]]
+        h_vec = _typed(entry["h"], list, "region h")
+        h_vec = [_fraction(v, "region h") for v in h_vec]
         if len(h_mat) != len(h_vec):
             raise ProblemError(MALFORMED, "region H and h sizes differ")
         if any(len(r) != system.n for r in h_mat):
@@ -109,41 +134,22 @@ def parse_problem(doc: dict) -> ProblemSpec:
             regions.append(ObservedRegion(str(entry["name"]), cell))
         except ValueError as exc:
             raise ProblemError(MALFORMED, str(exc)) from exc
+    try:
+        validated = validate_regions(
+            sublevel_cell(lf, gamma_x), sublevel_cell(lf, gamma_d), regions
+        )
+    except RegionError as exc:
+        raise ProblemError(exc.code, str(exc)) from exc
 
-    _validate_region_geometry(lf, gamma_d, gamma_x, regions)
-
-    options = doc.get("options", {})
     return ProblemSpec(
         system=system,
         lf=lf,
         gamma_d=gamma_d,
         gamma_x=gamma_x,
-        regions=tuple(regions),
-        formula=doc.get("formula"),
-        sample_count=int(options.get("sample_count", 0)),
+        regions=validated,
+        formula=formula,
+        sample_count=sample_count,
     )
-
-
-def _validate_region_geometry(lf, gamma_d, gamma_x, regions) -> None:
-    from .geometry import Region, cells_disjoint, difference
-    from .lyapunov import sublevel_cell
-
-    x_cell = sublevel_cell(lf, gamma_x)
-    d_cell = sublevel_cell(lf, gamma_d)
-    outside = difference(Region.of([x_cell]), Region.of([d_cell]))
-    for r in regions:
-        if not difference(Region.of([r.cell]), outside).is_empty():
-            raise ProblemError(
-                REGION_DOMAIN,
-                f"region {r.label} is not inside the working set minus "
-                "the target set",
-            )
-    for i, a in enumerate(regions):
-        for b in regions[i + 1 :]:
-            if not cells_disjoint(a.cell, b.cell):
-                raise ProblemError(
-                    REGION_OVERLAP, f"regions {a.label} and {b.label} overlap"
-                )
 
 
 def load_problem(path) -> ProblemSpec:

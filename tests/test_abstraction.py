@@ -18,7 +18,6 @@ from polybisim.abstraction import (
     observation_of,
     parse_quotient,
     quotient_word,
-    refine,
 )
 from polybisim.geometry import (
     Cell,
@@ -147,47 +146,6 @@ def test_find_pre_1d():
     assert region_contains_point(pre, [F("1.5")])
     assert region_contains_point(pre, [F("-2")])
     assert not region_contains_point(pre, [F("0.5")])
-
-
-def test_refine_splits_and_preserves(small2d):
-    _, lf, regions, _, _ = small2d
-    seq = level_sequence(1, 4, "0.5")
-    x_cell = sublevel_cell(lf, 4)
-    d_cell = sublevel_cell(lf, 1)
-    part = initial_partition(x_cell, d_cell, regions, slices(lf, seq))
-    cutter = Region.of([Cell(2, [constraint([1, 0], 0)])])  # halfplane x<=0
-    refined = refine(part, cutter)
-    assert len(refined.blocks) > len(part.blocks)
-    audits = audit_partition(refined, regions)
-    assert all(audits.values()), audits
-    # pieces straddle nothing: each non-target block is inside or outside
-    # the halfplane (the target block is never split)
-    from polybisim.geometry import cells_disjoint
-
-    cut_cell = cutter.cells[0]
-    for b in refined.blocks.values():
-        if b.id == refined.d_block_id:
-            continue
-        inside = difference(Region((b.cell,)), cutter).is_empty()
-        outside = cells_disjoint(b.cell, cut_cell)
-        assert inside or outside
-    # refining again by the same region changes nothing
-    again = refine(refined, cutter)
-    assert len(again.blocks) == len(refined.blocks)
-
-
-def test_refine_keeps_observations_and_slices(small2d):
-    _, lf, regions, _, _ = small2d
-    seq = level_sequence(1, 4, "0.5")
-    part = initial_partition(
-        sublevel_cell(lf, 4), sublevel_cell(lf, 1), regions, slices(lf, seq)
-    )
-    cutter = Region.of([Cell(2, [constraint([0, 1], 0)])])
-    refined = refine(part, cutter)
-    for b in refined.blocks.values():
-        p = sample_point(b.cell)
-        assert b.observation == observation_of(p, regions, part.d_cell)
-        assert region_contains_point(part.slice_regions[b.slice_index], p)
 
 
 def test_build_quotient_small2d(small2d):

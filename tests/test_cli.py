@@ -67,6 +67,19 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
 
 
+def test_malformed_file_exit_code(tmp_path, capsys):
+    for edit in (
+        {"options": {"sample_count": "abc"}},
+        {"regions": [{"name": "r", "H": [["1"]], "h": ["1.5"]}] * 2},
+    ):
+        doc = {"A": [["0.5"]], "L": [["1"]], "rho": "0.5"}
+        doc.update(gamma_D="1", gamma_X="2", **edit)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-lf", str(path)]) == 1
+        assert "MALFORMED" in capsys.readouterr().err
+
+
 def test_contraction_failure_exit_code(tmp_path, capsys):
     doc = {
         "A": [["0.9"]],

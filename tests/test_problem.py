@@ -1,10 +1,15 @@
 """Problem file parsing and validation error codes."""
 
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polybisim import geometry, lyapunov
+from polybisim.abstraction import build_quotient
+from polybisim.pipeline import run_pipeline
 from polybisim.problem import (
     GAMMA_ORDER,
     MALFORMED,
@@ -132,6 +137,104 @@ def test_reserved_region_name():
     doc = base_doc()
     doc["regions"][0]["name"] = "pid"
     _expect_code(doc, MALFORMED)
+
+
+def test_duplicate_region_labels():
+    doc = base_doc()
+    doc["regions"].append(
+        {
+            "name": "r1",
+            "H": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+            "h": ["-2", "3", "1", "1"],
+        }
+    )
+    _expect_code(doc, MALFORMED)
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["options"], ["sample_count", 10]),
+        _set(["options", "sample_count"], "abc"),
+        _set(["options", "sample_count"], 2.5),
+        _set(["regions"], {"name": "r1"}),
+        _set(["regions", 0], "r1"),
+        _set(["regions", 0, "h"], "3"),
+        _set(["A", 1], 0),
+        _set(["regions", 0, "H", 0], "10"),
+        _set(["formula"], ["F r1"]),
+    ],
+    ids=[
+        "options-not-object",
+        "sample-count-string",
+        "sample-count-float",
+        "regions-not-list",
+        "region-not-object",
+        "h-not-list",
+        "matrix-row-number",
+        "matrix-row-string",
+        "formula-not-string",
+    ],
+)
+def test_malformed_shapes(edit):
+    doc = base_doc()
+    edit(doc)
+    _expect_code(doc, MALFORMED)
+
+
+def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
+    """load_problem + run_pipeline compute X \\ D once and solve the
+    contraction LPs once."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(base_doc()))
+    spec = parse_problem(base_doc())
+    x_rows = [lyapunov.sublevel_cell(spec.lf, spec.gamma_x).constraints]
+    d_rows = [lyapunov.sublevel_cell(spec.lf, spec.gamma_d).constraints]
+    counts = Counter()
+    real_difference = geometry.difference
+    real_maxima = lyapunov.unit_ball_row_maxima
+
+    def difference(a, b):
+        if [c.constraints for c in a.cells] == x_rows and [
+            c.constraints for c in b.cells
+        ] == d_rows:
+            counts["X minus D"] += 1
+        return real_difference(a, b)
+
+    def unit_ball_row_maxima(lf, system):
+        counts["row maxima"] += 1
+        return real_maxima(lf, system)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "polybisim":
+            if getattr(module, "difference", None) is real_difference:
+                monkeypatch.setattr(module, "difference", difference)
+    monkeypatch.setattr(lyapunov, "unit_ball_row_maxima", unit_ball_row_maxima)
+
+    result = run_pipeline(load_problem(path))
+    assert result.exit_code == 0
+    assert counts == {"X minus D": 1, "row maxima": 1}
+
+
+def test_validated_regions_are_proven_again_for_other_sets():
+    spec = parse_problem(base_doc())
+    # a larger target set D = [-2.5, 2.5]^2 now meets r1 = [2, 3] x [-1, 1]
+    with pytest.raises(ValueError) as err:
+        build_quotient(
+            spec.system, spec.lf, Fraction(5, 2), spec.gamma_x, spec.regions
+        )
+    assert err.value.code == REGION_DOMAIN
 
 
 def test_region_size_mismatch():
