@@ -9,7 +9,7 @@ not an approximation of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -18,7 +18,7 @@ from .geometry import (
     Constraint,
     Region,
     Vector,
-    apply_matrix,
+    bounding_box,
     boxes_overlap,
     cells_disjoint,
     contains_point,
@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .lyapunov import (
     ContractionError,
-    LevelSequence,
     LinearSystem,
     PolyhedralLF,
     descends,
@@ -147,8 +146,6 @@ class QuotientTS:
 
 
 def _bbox_contains(cell: Cell, p: Vector) -> bool:
-    from .geometry import bounding_box
-
     for (lo, hi), v in zip(bounding_box(cell), p):
         if lo is not None and v < lo:
             return False
@@ -196,7 +193,12 @@ def validate_regions(
     x_cell: Cell, d_cell: Cell, regions: Sequence[ObservedRegion]
 ) -> ValidatedRegions:
     """Prove that the labels are unique, that each region lies inside the
-    redundancy-free X \\ D, and that the regions are pairwise disjoint."""
+    redundancy-free X \\ D, and that the regions are pairwise disjoint.
+    Regions already validated against equal X and D are returned as is."""
+    if isinstance(regions, ValidatedRegions) and (
+        regions.x_cell.constraints, regions.d_cell.constraints
+    ) == (x_cell.constraints, d_cell.constraints):
+        return regions
     labels = [r.label for r in regions]
     if len(set(labels)) != len(labels):
         raise RegionError(MALFORMED, "duplicate region labels")
@@ -235,12 +237,7 @@ def initial_partition(
     Regions already validated against the same X and D are not proven
     again; any other sequence is, and a failure raises RegionError.
     """
-    if not (
-        isinstance(regions, ValidatedRegions)
-        and regions.x_cell.constraints == x_cell.constraints
-        and regions.d_cell.constraints == d_cell.constraints
-    ):
-        regions = validate_regions(x_cell, d_cell, regions)
+    regions = validate_regions(x_cell, d_cell, regions)
     x_cell, d_cell = regions.x_cell, regions.d_cell
 
     blocks = []
@@ -345,9 +342,10 @@ def build_quotient(
             "level sequence is not invariant under one step"
         )
 
-    slice_regions = make_slices(lf, seq)
     x_cell = sublevel_cell(lf, seq.gammas[-1])
     d_cell = sublevel_cell(lf, seq.gammas[0])
+    regions = validate_regions(x_cell, d_cell, regions)
+    slice_regions = make_slices(lf, seq, (regions.x_cell, regions.d_cell))
     partition = initial_partition(x_cell, d_cell, regions, slice_regions)
     partition.rho_star = rho_star
 
@@ -417,8 +415,6 @@ def _covered(
     each leaf difference only sees the few blocks that can intersect it;
     the result is identical to one big set difference, just cheaper.
     """
-    from .geometry import bounding_box
-
     target_cells = [c for c in target_cells if not is_empty(c)]
     if not target_cells:
         return True

@@ -107,10 +107,6 @@ class Region:
         return not self.cells
 
 
-def full_space(dim: int) -> Cell:
-    return Cell(dim, ())
-
-
 def _slack_lp(cell: Cell) -> lp.LPResult:
     """Maximize the margin t (capped at 1) by which all constraints hold.
 
@@ -165,32 +161,36 @@ def intersect(a: Cell, b: Cell) -> Cell:
     return Cell(a.dim, a.constraints + b.constraints)
 
 
-def complement(cell: Cell) -> Region:
-    """Disjoint decomposition of the complement.
+def _complement_pieces(cell: Cell) -> list[Cell]:
+    """Piece i satisfies rows 0..i-1 and violates row i, so the pieces are
+    pairwise disjoint by construction; none is proven non-empty."""
+    rows = cell.constraints
+    return [Cell(cell.dim, rows[:i] + (c.negated(),)) for i, c in enumerate(rows)]
 
-    Cell i of the result satisfies rows 0..i-1 and violates row i; the
-    pieces are pairwise disjoint by construction.
-    """
-    pieces = []
-    for i, c in enumerate(cell.constraints):
-        piece = Cell(cell.dim, cell.constraints[:i] + (c.negated(),))
-        pieces.append(piece)
-    return Region.of(pieces)
+
+def complement(cell: Cell) -> Region:
+    """Disjoint decomposition of the complement: the complement pieces,
+    each proven non-empty by one emptiness LP."""
+    return Region.of(_complement_pieces(cell))
 
 
 def difference(a: Region, b: Region) -> Region:
-    """Set difference a \\ b as a disjoint region."""
+    """Set difference a \\ b as a disjoint region.
+
+    Cuts each cell of a that meets a cell bc of b by bc's complement pieces
+    and keeps the intersections proven non-empty.  The pieces are not
+    proven first: an empty piece only gives an empty intersection."""
     if a.cells and b.cells and a.dim != b.dim:
         raise ValueError("region dimensions differ")
     current = list(a.cells)
     for bc in b.cells:
-        comp = complement(bc)
+        comp = _complement_pieces(bc)
         nxt = []
         for piece in current:
             if cells_disjoint(piece, bc):
                 nxt.append(piece)
                 continue
-            for cc in comp.cells:
+            for cc in comp:
                 inter = intersect(piece, cc)
                 if not is_empty(inter):
                     nxt.append(inter)
@@ -227,7 +227,13 @@ def empty_cell(dim: int) -> Cell:
 
 
 def remove_redundancy(cell: Cell) -> Cell:
-    """Drop constraints whose removal leaves the denoted set unchanged."""
+    """Drop constraints whose removal leaves the denoted set unchanged.
+
+    Solves one emptiness LP per distinct row.  The cached emptiness and
+    sample carry over, and so does the box of a cell known to be non-empty:
+    it is the box of the closure, which the dropped rows do not change.  An
+    empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5} loses y).
+    """
     kept = list(dict.fromkeys(cell.constraints))
     i = 0
     while i < len(kept):
@@ -240,6 +246,7 @@ def remove_redundancy(cell: Cell) -> Cell:
     out = Cell(cell.dim, kept)
     out._empty = cell._empty
     out._sample = cell._sample
+    out._bbox = cell._bbox if cell._empty is False else None
     return out
 
 
@@ -288,7 +295,7 @@ def apply_matrix(a_matrix: Matrix, x: Vector) -> Vector:
 def cell_subset(a: Cell, b: Cell) -> bool:
     """Exact test a <= b via emptiness of a minus b."""
     return all(
-        is_empty(intersect(a, piece)) for piece in complement(b).cells
+        is_empty(intersect(a, piece)) for piece in _complement_pieces(b)
     )
 
 

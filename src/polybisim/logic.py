@@ -11,7 +11,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Letter = frozenset
 
@@ -45,7 +45,7 @@ class Not(Formula):
     operand: Formula
 
     def __str__(self):
-        return f"!{_wrap(self.operand)}"
+        return f"!{self.operand}"
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class Next(Formula):
     operand: Formula
 
     def __str__(self):
-        return f"X {_wrap(self.operand)}"
+        return f"X {self.operand}"
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class Eventually(Formula):
     operand: Formula
 
     def __str__(self):
-        return f"F {_wrap(self.operand)}"
+        return f"F {self.operand}"
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Always(Formula):
     operand: Formula
 
     def __str__(self):
-        return f"G {_wrap(self.operand)}"
+        return f"G {self.operand}"
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,6 @@ class Release(Formula):
 
     def __str__(self):
         return f"({self.left} R {self.right})"
-
-
-def _wrap(f: Formula) -> str:
-    if isinstance(f, (Atom, TrueF, FalseF, Not, Next, Eventually, Always)):
-        return str(f)
-    return str(f)  # binary nodes already parenthesize themselves
 
 
 @dataclass(frozen=True)
@@ -590,7 +584,6 @@ def lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
                     graph[nxt] = []
                     frontier.append(nxt)
     for comp in _sccs(graph):
-        members = set(comp)
         cyclic = len(comp) > 1 or comp[0] in graph[comp[0]]
         if cyclic and any(s in b.accepting for s, _ in comp):
             return True

@@ -20,7 +20,9 @@ from .abstraction import (
     observation_of,
     quotient_word,
 )
-from .geometry import Cell, Vector, apply_matrix, contains_point, sample_point, vec
+from .geometry import (
+    Cell, Vector, apply_matrix, bounding_box, contains_point, sample_point, vec
+)
 from .logic import Formula, LassoWord, eval_ltl_lasso
 from .lyapunov import LinearSystem
 
@@ -109,8 +111,6 @@ def _jitter(cell: Cell, rng: random.Random) -> Vector:
     """A random rational point of the cell: mix the interior sample with a
     random bounding-box point while membership holds."""
     base = sample_point(cell)
-    from .geometry import bounding_box
-
     box = bounding_box(cell)
     if any(lo is None or hi is None for lo, hi in box):
         return base

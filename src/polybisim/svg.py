@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .abstraction import Partition
 from .geometry import Cell, Region, bounding_box, contains_point

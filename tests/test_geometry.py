@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polybisim import lp
 from polybisim.geometry import (
     Cell,
     Region,
@@ -261,3 +262,119 @@ def test_is_empty_matches_2d_vertex_oracle_closed():
                 if contains_point(cell, (x, y)):
                     feasible = True
         assert is_empty(cell) == (not feasible)
+
+
+def _random_cell(rng, n):
+    """A cell in R^n with strict facets, flat pieces (a row and its
+    reverse), duplicate and slack rows, and sometimes no bounding box."""
+    rows = []
+    for _ in range(rng.randrange(1, 5)):
+        normal = [rng.randrange(-2, 3) for _ in range(n)]
+        if not any(normal):
+            normal[rng.randrange(n)] = 1
+        rows.append(constraint(normal, rng.randrange(-2, 4), rng.random() < 0.3))
+    kind = rng.random()
+    if kind < 0.2:
+        c = constraint(rows[0].normal, rows[0].offset)
+        rows[0] = c
+        rows.append(constraint([-a for a in c.normal], -c.offset))
+    elif kind < 0.5:
+        c = rng.choice(rows)
+        rows.append(constraint(c.normal, c.offset + rng.choice([0, 1]), c.strict))
+    if rng.random() < 0.7:
+        for j in range(n):
+            unit = [int(k == j) for k in range(n)]
+            rows.append(constraint(unit, 3))
+            rows.append(constraint([-u for u in unit], 3))
+    rng.shuffle(rows)
+    return Cell(n, rows)
+
+
+def _difference_with_pruned_complement(a, b):
+    """a \\ b cut by the pruned complement of each cell of b."""
+    current = list(a.cells)
+    for bc in b.cells:
+        nxt = []
+        for piece in current:
+            if cells_disjoint(piece, bc):
+                nxt.append(piece)
+                continue
+            for cc in complement(bc).cells:
+                inter = intersect(piece, cc)
+                if not is_empty(inter):
+                    nxt.append(inter)
+        current = nxt
+    return current
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_difference_matches_pruned_complement_reference(n):
+    rng = random.Random(500 + n)
+    for _ in range(40):
+        first = _random_cell(rng, n)
+        a_cells = [first]
+        if rng.random() < 0.4:  # a second cell of a, disjoint from the first
+            a_cells += complement(first).cells[:1]
+        a = Region.of(a_cells)
+        b = Region(tuple(_random_cell(rng, n) for _ in range(rng.randrange(1, 4))))
+        got = difference(a, b)
+        want = _difference_with_pruned_complement(a, b)
+        assert [c.constraints for c in got.cells] == [c.constraints for c in want]
+        for _ in range(20):
+            p = [Fraction(rng.randrange(-28, 29), 8) for _ in range(n)]
+            hits = sum(1 for c in got.cells if contains_point(c, p))
+            expect = region_contains_point(a, p) and not region_contains_point(b, p)
+            assert hits == int(expect)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that grows by one for every LP solved while the test runs."""
+    calls = []
+    real = lp.maximize
+
+    def maximize(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize", maximize)
+    return calls
+
+
+def test_difference_solves_no_lp_for_complement_pieces(lp_calls):
+    a, b = box2(0, 2), box2(1, 3)
+    for cell in (a, b):
+        bounding_box(cell)
+    lp_calls.clear()
+    d = difference(Region((a,)), Region((b,)))
+    # one LP proves that a meets b, then one per intersection of a with a
+    # complement piece of b; no LP proves a piece on its own
+    assert len(lp_calls) == 5
+    assert len(d.cells) == 2
+
+
+def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(lp_calls):
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(80):
+        cell = _random_cell(rng, rng.choice([1, 2, 3]))
+        if is_empty(cell):
+            continue
+        box = bounding_box(cell)
+        reduced = remove_redundancy(cell)
+        lp_calls.clear()
+        assert bounding_box(reduced) == box
+        assert lp_calls == []
+        assert bounding_box(Cell(reduced.dim, reduced.constraints)) == box
+        checked += 1
+    assert checked >= 40
+    # an empty cell's box is not carried over: y <= 5 is redundant, and
+    # dropping it changes the box of the relaxed rows
+    empty = Cell(
+        2, [constraint([1, 0], 0, True), constraint([-1, 0], 0), constraint([0, 1], 5)]
+    )
+    assert is_empty(empty)
+    assert bounding_box(empty) == ((0, 0), (None, 5))
+    reduced = remove_redundancy(empty)
+    assert bounding_box(reduced) == bounding_box(Cell(2, reduced.constraints))
+    assert bounding_box(reduced) == ((0, 0), (None, None))

@@ -194,37 +194,63 @@ def test_malformed_shapes(edit):
 
 
 def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
-    """load_problem + run_pipeline compute X \\ D once and solve the
-    contraction LPs once."""
+    """load_problem + run_pipeline compute X \\ D once, solve the
+    contraction LPs once, and prove the emptiness and the box of X and of
+    D once each."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps(base_doc()))
     spec = parse_problem(base_doc())
-    x_rows = [lyapunov.sublevel_cell(spec.lf, spec.gamma_x).constraints]
-    d_rows = [lyapunov.sublevel_cell(spec.lf, spec.gamma_d).constraints]
+    x_rows = lyapunov.sublevel_cell(spec.lf, spec.gamma_x).constraints
+    d_rows = lyapunov.sublevel_cell(spec.lf, spec.gamma_d).constraints
+    names = {x_rows: "X", d_rows: "D"}
     counts = Counter()
-    real_difference = geometry.difference
+    real = {
+        "difference": geometry.difference,
+        "bounding_box": geometry.bounding_box,
+    }
+    real_slack_lp = geometry._slack_lp
     real_maxima = lyapunov.unit_ball_row_maxima
 
     def difference(a, b):
-        if [c.constraints for c in a.cells] == x_rows and [
+        if [c.constraints for c in a.cells] == [x_rows] and [
             c.constraints for c in b.cells
-        ] == d_rows:
+        ] == [d_rows]:
             counts["X minus D"] += 1
-        return real_difference(a, b)
+        return real["difference"](a, b)
+
+    def bounding_box(cell):
+        if cell._bbox is None and cell.constraints in names:
+            counts[names[cell.constraints] + " box"] += 1
+        return real["bounding_box"](cell)
+
+    def slack_lp(cell):
+        if cell.constraints in names:
+            counts[names[cell.constraints] + " emptiness"] += 1
+        return real_slack_lp(cell)
 
     def unit_ball_row_maxima(lf, system):
         counts["row maxima"] += 1
         return real_maxima(lf, system)
 
+    fakes = {"difference": difference, "bounding_box": bounding_box}
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "polybisim":
-            if getattr(module, "difference", None) is real_difference:
-                monkeypatch.setattr(module, "difference", difference)
+            for attr, fake in fakes.items():
+                if getattr(module, attr, None) is real[attr]:
+                    monkeypatch.setattr(module, attr, fake)
+    monkeypatch.setattr(geometry, "_slack_lp", slack_lp)
     monkeypatch.setattr(lyapunov, "unit_ball_row_maxima", unit_ball_row_maxima)
 
     result = run_pipeline(load_problem(path))
     assert result.exit_code == 0
-    assert counts == {"X minus D": 1, "row maxima": 1}
+    assert counts == {
+        "X minus D": 1,
+        "row maxima": 1,
+        "X emptiness": 1,
+        "D emptiness": 1,
+        "X box": 1,
+        "D box": 1,
+    }
 
 
 def test_validated_regions_are_proven_again_for_other_sets():
