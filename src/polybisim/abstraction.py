@@ -17,17 +17,17 @@ from .geometry import (
     Cell,
     Constraint,
     Region,
-    Vector,
     bounding_box,
+    box_contains_scaled,
     boxes_overlap,
     cells_disjoint,
-    contains_point,
+    contains_scaled,
     difference,
     intersect,
     is_empty,
     preimage_linear,
     remove_redundancy,
-    vec,
+    scale_point,
 )
 from .lyapunov import (
     ContractionError,
@@ -126,11 +126,11 @@ class Partition:
         return sorted(self.blocks.values(), key=lambda b: (b.slice_index, b.id))
 
     def cell_of(self, x: Sequence) -> int:
-        p = vec(x)
-        if not contains_point(self.x_cell, p):
+        p, m = scale_point(x, self.dim)
+        if not contains_scaled(self.x_cell, p, m):
             raise ValueError("point lies outside the working set")
         for b in self.blocks.values():
-            if _bbox_contains(b.cell, p) and contains_point(b.cell, p):
+            if box_contains_scaled(b.cell, p, m) and contains_scaled(b.cell, p, m):
                 return b.id
         raise AssertionError("partition does not cover the working set")
 
@@ -145,23 +145,14 @@ class QuotientTS:
     target_state: int
 
 
-def _bbox_contains(cell: Cell, p: Vector) -> bool:
-    for (lo, hi), v in zip(bounding_box(cell), p):
-        if lo is not None and v < lo:
-            return False
-        if hi is not None and v > hi:
-            return False
-    return True
-
-
 def observation_of(
     x: Sequence, regions: Sequence[ObservedRegion], d_cell: Cell
 ) -> Observation:
-    p = vec(x)
-    if contains_point(d_cell, p):
+    p, m = scale_point(x, d_cell.dim)
+    if contains_scaled(d_cell, p, m):
         return OBS_TARGET
     for r in regions:
-        if contains_point(r.cell, p):
+        if contains_scaled(r.cell, p, m):
             return Observation(r.label)
     return OBS_EMPTY
 

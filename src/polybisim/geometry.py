@@ -5,12 +5,20 @@ non-strict, so open facets are first-class.  A Region is a finite union of
 pairwise-disjoint Cells.  Every predicate (emptiness, membership,
 redundancy) is decided exactly with rational arithmetic; there are no
 tolerances anywhere in this module.
+
+Point membership runs on integer-scaled rows: each row a.x <= b (or <)
+is multiplied once by the positive lcm of its denominators, each point
+once by the positive lcm of its coordinates' denominators, and the test
+compares Python ints.  Both sides are scaled by positive numbers, so the
+answer is the rational one, still exact and with no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import lp
@@ -23,7 +31,7 @@ _ONE = Fraction(1)
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -64,7 +72,7 @@ class Cell:
     bounding box are computed lazily and cached.
     """
 
-    __slots__ = ("dim", "constraints", "_empty", "_sample", "_bbox")
+    __slots__ = ("dim", "constraints", "_empty", "_sample", "_bbox", "_rows")
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
         self.dim = dim
@@ -77,6 +85,7 @@ class Cell:
         self._empty: Optional[bool] = None
         self._sample: Optional[Vector] = None
         self._bbox = None
+        self._rows = None
 
     def __repr__(self):
         return f"Cell(dim={self.dim}, k={len(self.constraints)})"
@@ -148,11 +157,56 @@ def sample_point(cell: Cell) -> Vector:
     return cell._sample
 
 
-def contains_point(cell: Cell, point: Sequence) -> bool:
+def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(X, M) with X / M == values: M > 0 is the lcm of the denominators
+    and X the integer numerators over M."""
+    m = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (m // v.denominator) for v in values), m
+
+
+def scale_point(point: Sequence, dim: int) -> tuple[tuple[int, ...], int]:
+    """The point as (X, M), M > 0, for ``contains_scaled``."""
     p = vec(point)
-    if len(p) != cell.dim:
+    if len(p) != dim:
         raise ValueError("point dimension does not match cell")
-    return all(c.holds(p) for c in cell.constraints)
+    return _scaled(p)
+
+
+def _int_rows(cell: Cell) -> tuple:
+    """The cell's rows as (A, B, strict), row a.x <= b times the lcm L > 0
+    of the denominators of a and b; cached on the cell."""
+    if cell._rows is None:
+        rows = []
+        for c in cell.constraints:
+            scaled, _ = _scaled(c.normal + (c.offset,))
+            rows.append((scaled[:-1], scaled[-1], c.strict))
+        cell._rows = tuple(rows)
+    return cell._rows
+
+
+def contains_scaled(cell: Cell, x: tuple[int, ...], m: int) -> bool:
+    """Membership of the point x / m, as made by ``scale_point`` for the
+    cell's dimension: A.x <= B.m (or <) for every integer row."""
+    for a, b, strict in _int_rows(cell):
+        lhs, rhs = sum(map(mul, a, x)), b * m
+        if lhs > rhs or (strict and lhs == rhs):
+            return False
+    return True
+
+
+def box_contains_scaled(cell: Cell, x: tuple[int, ...], m: int) -> bool:
+    """Whether x / m lies in the cell's bounding box (a necessary test)."""
+    for (lo, hi), v in zip(bounding_box(cell), x):
+        if lo is not None and v * lo.denominator < lo.numerator * m:
+            return False
+        if hi is not None and v * hi.denominator > hi.numerator * m:
+            return False
+    return True
+
+
+def contains_point(cell: Cell, point: Sequence) -> bool:
+    x, m = scale_point(point, cell.dim)
+    return contains_scaled(cell, x, m)
 
 
 def intersect(a: Cell, b: Cell) -> Cell:
@@ -179,7 +233,9 @@ def difference(a: Region, b: Region) -> Region:
 
     Cuts each cell of a that meets a cell bc of b by bc's complement pieces
     and keeps the intersections proven non-empty.  The pieces are not
-    proven first: an empty piece only gives an empty intersection."""
+    proven first: an empty piece only gives an empty intersection.  A piece
+    with a row that fails on the whole bounding box of the cell it cuts
+    (interval arithmetic) gives an empty intersection with no LP."""
     if a.cells and b.cells and a.dim != b.dim:
         raise ValueError("region dimensions differ")
     current = list(a.cells)
@@ -190,12 +246,40 @@ def difference(a: Region, b: Region) -> Region:
             if cells_disjoint(piece, bc):
                 nxt.append(piece)
                 continue
-            for cc in comp:
-                inter = intersect(piece, cc)
-                if not is_empty(inter):
-                    nxt.append(inter)
+            box, m = _scaled_box(bounding_box(piece))  # cached by cells_disjoint
+            for (row, offset, strict), cc in zip(_int_rows(bc), comp):
+                # piece meets bc, so only cc's negated row can fail on the
+                # whole box: when row.x stays at most the offset there (below
+                # it, for a strict row)
+                high, offset = _max_on_box(row, box), offset * m
+                if high is None or high > offset or (strict and high == offset):
+                    inter = intersect(piece, cc)
+                    if not is_empty(inter):
+                        nxt.append(inter)
         current = nxt
     return Region(tuple(current))
+
+
+def _scaled_box(box) -> tuple:
+    """The box with its ends times the lcm m > 0 of their denominators,
+    and m."""
+    m = lcm(*(v.denominator for side in box for v in side if v is not None))
+    return tuple(
+        tuple(None if v is None else v.numerator * (m // v.denominator) for v in side)
+        for side in box
+    ), m
+
+
+def _max_on_box(row: tuple[int, ...], box) -> Optional[int]:
+    """The maximum of row.x over an integer box; None when unbounded."""
+    high = 0
+    for a, (lo, hi) in zip(row, box):
+        if a:
+            end = hi if a > 0 else lo
+            if end is None:
+                return None
+            high += a * end
+    return high
 
 
 def preimage_linear(cell: Cell, a_matrix: Matrix) -> Cell:

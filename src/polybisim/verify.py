@@ -21,6 +21,8 @@ ProductState = tuple  # (quotient state, automaton state)
 
 @dataclass(frozen=True)
 class ProductAutomaton:
+    """``transitions`` has an entry for every state, possibly empty."""
+
     states: tuple[ProductState, ...]
     initial: frozenset
     transitions: dict[ProductState, tuple[ProductState, ...]]
@@ -38,7 +40,8 @@ class SatisfyingSet:
 
 def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
     """Synchronized product; edges fire on the source quotient state's
-    observation letter."""
+    observation letter, and each guard is tested once per distinct
+    observation."""
     alphabet = {"pid"} | {
         o.label for o in quotient.observations.values() if o.is_region
     }
@@ -49,15 +52,20 @@ def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
         )
     states = []
     transitions = {}
+    fired = {}  # observation -> {automaton state: destinations it enables}
     for q in quotient.states:
-        letter = quotient.observations[q].letter()
+        obs = quotient.observations[q]
+        dsts = fired.get(obs)
+        if dsts is None:
+            letter = obs.letter()
+            dsts = fired[obs] = {
+                s: tuple(e.dst for e in b.edges.get(s, ()) if e.accepts(letter))
+                for s in b.states
+            }
         q_next = quotient.transitions[q]
         for s in b.states:
-            dsts = tuple(
-                (q_next, e.dst) for e in b.edges.get(s, ()) if e.accepts(letter)
-            )
             states.append((q, s))
-            transitions[(q, s)] = dsts
+            transitions[(q, s)] = tuple((q_next, d) for d in dsts[s])
     initial = frozenset((q, s0) for q in quotient.states for s0 in b.initial)
     accepting = frozenset(
         (q, s) for q in quotient.states for s in b.accepting
@@ -109,8 +117,8 @@ def f_star_fixpoint(p: ProductAutomaton) -> frozenset:
 def f_star_scc(p: ProductAutomaton) -> frozenset:
     """Equivalent characterization: accepting states that reach (in zero
     or more steps) an accepting state lying on a cycle."""
-    graph = {s: list(p.transitions.get(s, ())) for s in p.states}
-    preds = _predecessors(p.transitions, p.states)
+    graph = p.transitions
+    preds = _predecessors(graph, p.states)
     cyclic_accepting = set()
     for comp in _sccs(graph):
         if len(comp) > 1 or comp[0] in graph[comp[0]]:

@@ -12,6 +12,7 @@ from polybisim.abstraction import (
     ObservedRegion,
     audit_partition,
     build_quotient,
+    cell_of,
     export_quotient,
     find_pre,
     initial_partition,
@@ -37,6 +38,7 @@ from polybisim.lyapunov import (
     slices,
     sublevel_cell,
 )
+from polybisim.simulate import simulate
 
 
 def F(v):
@@ -198,6 +200,98 @@ def test_cell_of_outside_raises(small2d):
     _, _, _, _, partition = small2d
     with pytest.raises(ValueError):
         partition.cell_of([100, 100])
+
+
+def _scan_cell_of(partition, p):
+    """Reference point location: a linear scan with Constraint.holds;
+    None outside the working set."""
+    if not all(c.holds(p) for c in partition.x_cell.constraints):
+        return None
+    hits = [
+        b.id
+        for b in partition.ordered_blocks()
+        if all(c.holds(p) for c in b.cell.constraints)
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _scan_observation(p, regions, d_cell):
+    if all(c.holds(p) for c in d_cell.constraints):
+        return OBS_TARGET
+    for r in regions:
+        if all(c.holds(p) for c in r.cell.constraints):
+            return Observation(r.label)
+    return OBS_EMPTY
+
+
+def _facet_points(cells):
+    """Each cell's sample point projected onto the hyperplane of each of its
+    rows: points on block facets (shared with a neighbour when inner), on
+    the boundaries of D, X and the regions, where strictness decides."""
+    out = []
+    for cell in cells:
+        base = sample_point(cell)
+        for c in cell.constraints:
+            a = c.normal
+            t = (c.offset - sum(x * y for x, y in zip(a, base))) / sum(
+                x * x for x in a
+            )
+            out.append(tuple(x + t * y for x, y in zip(base, a)))
+    return out
+
+
+def _check_point_location(partition, regions, points):
+    inside = 0
+    for p in points:
+        want = _scan_cell_of(partition, p)
+        if want is None:
+            with pytest.raises(ValueError):
+                partition.cell_of(p)
+        else:
+            inside += 1
+            assert partition.cell_of(p) == want
+            assert cell_of(partition, [str(v) for v in p]) == want
+        assert observation_of(p, regions, partition.d_cell) == _scan_observation(
+            p, regions, partition.d_cell
+        )
+    return inside
+
+
+def test_cell_of_and_observation_of_match_a_linear_scan(small2d):
+    _, _, regions, _, partition = small2d
+    cells = [b.cell for b in partition.ordered_blocks()]
+    cells += [partition.x_cell, partition.d_cell] + [r.cell for r in regions]
+    # the quarter grid holds every facet of this partition: the boundaries
+    # of D, X, the slices, the region and the preimage cuts
+    grid = [
+        (F(i) / 4, F(j) / 4) for i in range(-18, 19) for j in range(-18, 19)
+    ]
+    points = grid + _facet_points(cells)
+    assert _check_point_location(partition, regions, points) > 1000
+
+
+def test_cell_of_matches_a_linear_scan_on_the_paper_fixture(paper_spec, paper_build):
+    _, partition, _ = paper_build
+    rng = random.Random(11)
+    blocks = rng.sample(partition.ordered_blocks(), 40)
+    cells = [b.cell for b in blocks] + [partition.x_cell, partition.d_cell]
+    cells += [r.cell for r in paper_spec.regions]
+    points = _facet_points(cells)
+    assert _check_point_location(partition, paper_spec.regions, points) > 100
+
+
+def test_point_queries_reject_the_wrong_dimension(small2d):
+    sys, _, regions, _, partition = small2d
+    for bad in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError):
+            partition.cell_of(bad)
+        with pytest.raises(ValueError):
+            observation_of(bad, regions, partition.d_cell)
+        with pytest.raises(ValueError):
+            simulate(sys, partition.x_cell, partition.d_cell, regions, bad, 5)
+        with pytest.raises(ValueError):
+            contains_point(partition.x_cell, bad)
 
 
 def test_audit_detects_injected_defects(small2d):

@@ -9,13 +9,16 @@ import pytest
 from polybisim import lp
 from polybisim.geometry import (
     Cell,
+    Constraint,
     Region,
+    box_contains_scaled,
     bounding_box,
     cell_subset,
     cells_disjoint,
     complement,
     constraint,
     contains_point,
+    contains_scaled,
     difference,
     empty_cell,
     intersect,
@@ -24,8 +27,12 @@ from polybisim.geometry import (
     region_contains_point,
     remove_redundancy,
     sample_point,
+    scale_point,
     vec,
 )
+
+
+_ZERO = Fraction(0)
 
 
 def F(v):
@@ -347,10 +354,36 @@ def test_difference_solves_no_lp_for_complement_pieces(lp_calls):
         bounding_box(cell)
     lp_calls.clear()
     d = difference(Region((a,)), Region((b,)))
-    # one LP proves that a meets b, then one per intersection of a with a
-    # complement piece of b; no LP proves a piece on its own
-    assert len(lp_calls) == 5
+    # one LP proves that a meets b, then one per complement piece of b whose
+    # rows can all hold on a's box [0, 2]^2 (x < 1, and x >= 1 with y < 1);
+    # the pieces with x > 3 or y > 3 fail on the box and need no LP, and no
+    # LP proves a piece on its own
+    assert len(lp_calls) == 3
     assert len(d.cells) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, cells, lps",
+    [
+        # x <= 0 holds only on the face x = 0 of a, and the flat piece
+        # {x = 0, 1 < y <= 2} of the complement piece after it stays
+        ([constraint([1, 0], 0), constraint([0, 1], 1)], 2, 3),
+        # x >= 2, the negation of x < 2, holds on the face x = 2 of a
+        ([constraint([1, 0], 2, True)], 1, 2),
+        # x > 2, the negation of x <= 2, holds nowhere on a: no LP for it
+        ([constraint([1, 0], 2), constraint([0, 1], 1)], 1, 2),
+    ],
+)
+def test_difference_box_test_on_the_faces_of_the_box(lp_calls, rows, cells, lps):
+    a, b = Region((box2(0, 2),)), Region((Cell(2, rows),))
+    for cell in a.cells + b.cells:
+        bounding_box(cell)
+    lp_calls.clear()
+    got = difference(a, b)
+    assert len(lp_calls) == lps
+    assert len(got.cells) == cells
+    want = _difference_with_pruned_complement(a, b)
+    assert [c.constraints for c in got.cells] == [c.constraints for c in want]
 
 
 def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(lp_calls):
@@ -378,3 +411,93 @@ def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(lp_calls):
     reduced = remove_redundancy(empty)
     assert bounding_box(reduced) == bounding_box(Cell(2, reduced.constraints))
     assert bounding_box(reduced) == ((0, 0), (None, None))
+
+
+_BIG = 10**12 + 39
+
+
+def _scaled_rational(rng):
+    """A rational from a mix of scales: zero, small, and 1e12-sized
+    numerators and denominators, either sign."""
+    num = rng.choice([0, rng.randrange(-9, 10), rng.randrange(-_BIG, _BIG)])
+    den = rng.choice([1, rng.randrange(1, 12), rng.randrange(1, _BIG)])
+    return Fraction(num, den)
+
+
+def _as_input(rng, v):
+    """v as an int, a string or a Fraction, the three accepted spellings."""
+    kind = rng.randrange(3)
+    if kind == 0 and v.denominator == 1:
+        return int(v)
+    if kind == 1:
+        return str(v)
+    return v
+
+
+def _on_facet(c, p):
+    """The orthogonal projection of p onto the hyperplane of row c."""
+    a = c.normal
+    t = (c.offset - sum(x * y for x, y in zip(a, p))) / sum(x * x for x in a)
+    return tuple(x + t * y for x, y in zip(p, a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_membership_kernel_matches_constraint_holds(n):
+    rng = random.Random(100 + n)
+    on_strict = on_closed = 0
+    for _ in range(150):
+        rows = []
+        for _ in range(rng.randrange(1, 6)):
+            normal = [_scaled_rational(rng) for _ in range(n)]
+            if not any(normal):
+                normal[rng.randrange(n)] = Fraction(1, rng.choice([1, _BIG]))
+            rows.append(Constraint(tuple(normal), _scaled_rational(rng), rng.random() < 0.4))
+        cell = Cell(n, rows)
+        for _ in range(8):
+            p = tuple(_scaled_rational(rng) for _ in range(n))
+            if rng.random() < 0.6:  # exactly on the facet of one row
+                c = rng.choice(rows)
+                p = _on_facet(c, p)
+                assert c.holds(p) is not c.strict
+                on_strict += c.strict
+                on_closed += not c.strict
+            want = all(c.holds(p) for c in cell.constraints)
+            raw = [_as_input(rng, v) for v in p]
+            assert contains_point(cell, raw) is want
+            x, m = scale_point(raw, n)
+            assert m > 0 and all(isinstance(v, int) for v in x)
+            assert tuple(Fraction(v, m) for v in x) == p
+            assert contains_scaled(cell, x, m) is want
+    assert on_strict > 50 and on_closed > 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_test_on_scaled_points_matches_fractions(n):
+    rng = random.Random(200 + n)
+    for _ in range(60):
+        cell = _random_cell(rng, n)
+        box = bounding_box(cell)
+        for _ in range(10):
+            # box corners and edges land exactly on the box's faces
+            p = tuple(
+                rng.choice([v for v in (lo, hi) if v is not None] or [_ZERO])
+                if rng.random() < 0.5
+                else Fraction(rng.randrange(-28, 29), 8)
+                for lo, hi in box
+            )
+            want = all(
+                (lo is None or v >= lo) and (hi is None or v <= hi)
+                for (lo, hi), v in zip(box, p)
+            )
+            assert box_contains_scaled(cell, *scale_point(p, n)) is want
+            if contains_point(cell, p):
+                assert want
+
+
+def test_point_of_the_wrong_dimension_is_rejected():
+    cell = box2(0, 2)
+    for bad in ([1], [1, 1, 1], []):
+        with pytest.raises(ValueError):
+            contains_point(cell, bad)
+        with pytest.raises(ValueError):
+            scale_point(bad, 2)

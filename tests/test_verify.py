@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from polybisim.abstraction import build_quotient
+from polybisim.abstraction import ObservedRegion, build_quotient
+from polybisim.geometry import Cell, constraint
 from polybisim.logic import parse_ltl, to_buchi
 from polybisim.lyapunov import LinearSystem, PolyhedralLF
 from polybisim.verify import (
@@ -130,3 +131,25 @@ def test_product_transition_structure():
     for (q, s), dsts in p.transitions.items():
         for (qn, sn) in dsts:
             assert qn == quotient.transitions[q]
+
+
+def test_product_matches_per_state_guard_evaluation():
+    sys = LinearSystem.of([["0.5", "0"], ["0", "0.5"]])
+    lf = PolyhedralLF.of([["1", "0"], ["0", "1"]], "0.5")
+    r1 = Cell(2, [constraint([1, 0], 3), constraint([-1, 0], -2),
+                  constraint([0, 1], 1), constraint([0, -1], 1)])
+    quotient, _ = build_quotient(sys, lf, 1, 4, [ObservedRegion("r1", r1)])
+    for text in ("F pid", "!r1 U pid", "G (r1 -> X !r1)", "F r1 & G F pid"):
+        b = to_buchi(parse_ltl(text, atoms={"r1", "pid"}))
+        p = product(quotient, b)
+        want = {}
+        for q in quotient.states:
+            letter = quotient.observations[q].letter()
+            for s in b.states:
+                want[(q, s)] = tuple(
+                    (quotient.transitions[q], e.dst)
+                    for e in b.edges.get(s, ())
+                    if e.accepts(letter)
+                )
+        assert list(p.transitions.items()) == list(want.items())
+        assert p.states == tuple(want)
