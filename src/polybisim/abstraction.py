@@ -28,16 +28,15 @@ from .geometry import (
     preimage_linear,
     remove_redundancy,
     scale_point,
+    split,
 )
 from .lyapunov import (
-    ContractionError,
     LinearSystem,
     PolyhedralLF,
-    descends,
+    certified_rate,
     level_sequence,
     slices as make_slices,
     sublevel_cell,
-    verify_contraction,
 )
 
 EMPTY_LABEL = "EMPTY"
@@ -234,29 +233,21 @@ def initial_partition(
     blocks = []
     d_block = Block(0, d_cell, OBS_TARGET, 0, successor=0)
     blocks.append(d_block)
-    next_id = 1
+
+    def add(cell, observation, i):
+        blocks.append(Block(len(blocks), remove_redundancy(cell), observation, i))
+
     for i in range(1, len(slice_regions)):
         for sc in slice_regions[i].cells:
-            remaining = Region((sc,))
+            remaining = [sc]
             for r in regions:
-                if all(cells_disjoint(c, r.cell) for c in remaining.cells):
-                    continue
-                for c in remaining.cells:
-                    piece = intersect(c, r.cell)
-                    if not is_empty(piece):
-                        blocks.append(
-                            Block(
-                                next_id,
-                                remove_redundancy(piece),
-                                Observation(r.label),
-                                i,
-                            )
-                        )
-                        next_id += 1
-                remaining = difference(remaining, Region((r.cell,)))
-            for c in remaining.cells:
-                blocks.append(Block(next_id, remove_redundancy(c), OBS_EMPTY, i))
-                next_id += 1
+                cuts = [split(c, Region((r.cell,))) for c in remaining]
+                for inside, _ in cuts:
+                    for piece in inside:
+                        add(piece, Observation(r.label), i)
+                remaining = [c for _, outside in cuts for c in outside]
+            for c in remaining:
+                add(c, OBS_EMPTY, i)
     return Partition(
         x_cell.dim,
         blocks,
@@ -284,31 +275,6 @@ def find_pre(
     return Region(tuple(cells))
 
 
-def _split_cell(cell: Cell, region: Region):
-    """Cut a cell against a disjoint region.
-
-    Returns (pieces inside, pieces outside, unchanged) where unchanged is
-    True when the cell does not meet the region at all, or is one piece
-    entirely inside it.
-    """
-    pieces_in = []
-    for rc in region.cells:
-        if not boxes_overlap(cell, rc):
-            continue
-        inter = intersect(cell, rc)
-        if not is_empty(inter):
-            pieces_in.append(inter)
-    if not pieces_in:
-        return [], [], True
-    rest = [
-        remove_redundancy(c)
-        for c in difference(Region((cell,)), region).cells
-    ]
-    if not rest and len(pieces_in) == 1:
-        return [cell], [], True
-    return [remove_redundancy(p) for p in pieces_in], rest, False
-
-
 def build_quotient(
     sys: LinearSystem,
     lf: PolyhedralLF,
@@ -326,12 +292,7 @@ def build_quotient(
     disjoint and inside X \\ D.
     """
     seq = level_sequence(gamma_d, gamma_x, lf.rho)
-    rho_star = verify_contraction(lf, sys)
-    if rho_star > lf.rho and not descends(rho_star, seq):
-        raise ContractionError(
-            f"certified rate {rho_star} exceeds declared {lf.rho} and the "
-            "level sequence is not invariant under one step"
-        )
+    rho_star = certified_rate(lf, sys, seq)
 
     x_cell = sublevel_cell(lf, seq.gammas[-1])
     d_cell = sublevel_cell(lf, seq.gammas[0])
@@ -353,30 +314,23 @@ def build_quotient(
                 if b.successor is None and b.slice_index > i
             ]
             for b in candidates:
-                pieces_in, rest, unchanged = _split_cell(b.cell, pre)
-                if unchanged:
-                    if pieces_in:
-                        b.successor = tgt.id
+                inside, outside = split(b.cell, pre)
+                if not inside:
+                    continue
+                if len(inside) == 1 and not outside:
+                    b.successor = tgt.id
                     continue
                 del blocks[b.id]
-                for piece in pieces_in:
-                    nb = Block(
-                        partition.fresh_id(),
-                        piece,
-                        b.observation,
-                        b.slice_index,
-                        tgt.id,
-                    )
-                    blocks[nb.id] = nb
-                for piece in rest:
-                    nb = Block(
-                        partition.fresh_id(),
-                        piece,
-                        b.observation,
-                        b.slice_index,
-                        None,
-                    )
-                    blocks[nb.id] = nb
+                for pieces, successor in ((inside, tgt.id), (outside, None)):
+                    for piece in pieces:
+                        nb = Block(
+                            partition.fresh_id(),
+                            remove_redundancy(piece),
+                            b.observation,
+                            b.slice_index,
+                            successor,
+                        )
+                        blocks[nb.id] = nb
 
     missing = [b.id for b in blocks.values() if b.successor is None]
     if missing:

@@ -6,7 +6,9 @@ Subcommands:
   check-lf   certify the contraction rate of the supplied function
   simulate   run one exact trajectory from a given initial state
 
-Exit codes: 0 success, 1 input error, 2 invariant violation, 3 internal.
+Exit codes: 0 success, 1 input error, 2 invariant violation (an
+uncertified contraction rate or a failed cross-validation), 3 internal
+error (a broken internal invariant, raised as AssertionError).
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .lyapunov import ContractionError, verify_contraction
+from .lyapunov import (
+    ContractionError,
+    certified_rate,
+    level_sequence,
+    verify_contraction,
+)
 from .pipeline import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -88,14 +95,13 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_INVARIANT
 
         if args.command == "simulate":
-            from .lyapunov import level_sequence, sublevel_cell
-
+            # the step bound below holds only for a certified rate
             seq = level_sequence(spec.gamma_d, spec.gamma_x, spec.lf.rho)
-            x_cell = sublevel_cell(spec.lf, spec.gamma_x)
-            d_cell = sublevel_cell(spec.lf, spec.gamma_d)
+            certified_rate(spec.lf, spec.system, seq)
             x0 = [Fraction(v) for v in args.x0]
+            r = spec.regions
             traj = run_simulation(
-                spec.system, x_cell, d_cell, spec.regions, x0, seq.n_steps + 1
+                spec.system, r.x_cell, r.d_cell, r, x0, seq.n_steps + 1
             )
             for x, obs in zip(traj.points, traj.word):
                 coords = ", ".join(f"{float(c):.6f}" for c in x)
@@ -121,10 +127,7 @@ def main(argv=None) -> int:
     except ContractionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # AssertionError: a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

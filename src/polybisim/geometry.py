@@ -6,6 +6,9 @@ pairwise-disjoint Cells.  Every predicate (emptiness, membership,
 redundancy) is decided exactly with rational arithmetic; there are no
 tolerances anywhere in this module.
 
+Both refinements cut with ``split(cell, region)``: the parts of a cell
+inside and outside a disjoint region, each intersection decided once.
+
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
 once by the positive lcm of its coordinates' denominators, and the test
@@ -228,36 +231,56 @@ def complement(cell: Cell) -> Region:
     return Region.of(_complement_pieces(cell))
 
 
-def difference(a: Region, b: Region) -> Region:
-    """Set difference a \\ b as a disjoint region.
+def _cut(pieces: list[Cell], bc: Cell, met: Optional[Cell] = None) -> list[Cell]:
+    """The pieces minus bc.  A piece that misses bc stays as it is; one
+    that meets it (``met`` is known to) is cut by bc's complement pieces,
+    not proven non-empty first, keeping the intersections proven non-empty.
+    An intersection with a row that fails on the piece's whole bounding box
+    (interval arithmetic) is empty with no LP."""
+    comp = _complement_pieces(bc)
+    out = []
+    for piece in pieces:
+        if piece is not met and cells_disjoint(piece, bc):
+            out.append(piece)
+            continue
+        box, m = _scaled_box(bounding_box(piece))  # cached by the meet test
+        for (row, offset, strict), cc in zip(_int_rows(bc), comp):
+            # piece meets bc, so only cc's negated row can fail on the
+            # whole box: when row.x stays at most the offset there (below
+            # it, for a strict row)
+            high, offset = _max_on_box(row, box), offset * m
+            if high is None or high > offset or (strict and high == offset):
+                inter = intersect(piece, cc)
+                if not is_empty(inter):
+                    out.append(inter)
+    return out
 
-    Cuts each cell of a that meets a cell bc of b by bc's complement pieces
-    and keeps the intersections proven non-empty.  The pieces are not
-    proven first: an empty piece only gives an empty intersection.  A piece
-    with a row that fails on the whole bounding box of the cell it cuts
-    (interval arithmetic) gives an empty intersection with no LP."""
+
+def difference(a: Region, b: Region) -> Region:
+    """Set difference a \\ b as a disjoint region."""
     if a.cells and b.cells and a.dim != b.dim:
         raise ValueError("region dimensions differ")
     current = list(a.cells)
     for bc in b.cells:
-        comp = _complement_pieces(bc)
-        nxt = []
-        for piece in current:
-            if cells_disjoint(piece, bc):
-                nxt.append(piece)
-                continue
-            box, m = _scaled_box(bounding_box(piece))  # cached by cells_disjoint
-            for (row, offset, strict), cc in zip(_int_rows(bc), comp):
-                # piece meets bc, so only cc's negated row can fail on the
-                # whole box: when row.x stays at most the offset there (below
-                # it, for a strict row)
-                high, offset = _max_on_box(row, box), offset * m
-                if high is None or high > offset or (strict and high == offset):
-                    inter = intersect(piece, cc)
-                    if not is_empty(inter):
-                        nxt.append(inter)
-        current = nxt
+        current = _cut(current, bc)
     return Region(tuple(current))
+
+
+def split(cell: Cell, region: Region) -> tuple[list[Cell], list[Cell]]:
+    """(inside, outside) of a cell cut by a disjoint region: intersect(cell,
+    rc) for each region cell rc proven to meet it, in region order, and
+    ``difference(Region((cell,)), region).cells``.  The pieces lie in the
+    cell, so a region cell that misses it is not tested against them, and
+    the uncut cell is not tested again against the first one it meets."""
+    inside, outside = [], [cell]
+    for rc in region.cells:
+        if not boxes_overlap(cell, rc):
+            continue
+        inter = intersect(cell, rc)
+        if not is_empty(inter):
+            inside.append(inter)
+            outside = _cut(outside, rc, met=cell)
+    return inside, outside
 
 
 def _scaled_box(box) -> tuple:

@@ -202,6 +202,20 @@ def descends(rho_star, seq: LevelSequence) -> bool:
     )
 
 
+def certified_rate(
+    lf: PolyhedralLF, sys: LinearSystem, seq: LevelSequence
+) -> Fraction:
+    """The certified rate rho*; ContractionError when it exceeds the
+    declared rate and seq does not descend under it either."""
+    rho_star = verify_contraction(lf, sys)
+    if rho_star > lf.rho and not descends(rho_star, seq):
+        raise ContractionError(
+            f"certified rate {rho_star} exceeds declared {lf.rho} and the "
+            "level sequence is not invariant under one step"
+        )
+    return rho_star
+
+
 def slice_descent_check(
     lf: PolyhedralLF, sys: LinearSystem, seq: LevelSequence
 ) -> bool:

@@ -2,8 +2,10 @@
 
 import json
 
+from polybisim import cli
 from polybisim.abstraction import parse_quotient
 from polybisim.cli import main
+from polybisim.problem import load_problem
 
 
 def test_check_lf(toy_path, capsys):
@@ -59,6 +61,53 @@ def test_simulate_subcommand(toy_path, capsys):
 
 def test_simulate_outside_working_set(toy_path, capsys):
     assert main(["simulate", str(toy_path), "5"]) == 1
+
+
+def _uncertified(tmp_path):
+    """A 1-D problem whose declared rate 1/2 the dynamics (9/10) miss."""
+    doc = {
+        "A": [["0.9"]],
+        "L": [["1"]],
+        "rho": "0.5",
+        "gamma_D": "1",
+        "gamma_X": "4",
+        "formula": "F pid",
+    }
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_simulate_uncertified_rate_exit_code(tmp_path, capsys):
+    # without the certificate the trajectory from 3.9 overruns its step
+    # bound, an internal invariant; the certificate rejects the input first
+    assert main(["simulate", str(_uncertified(tmp_path)), "3.9"]) == 2
+    assert "certified rate 9/10 exceeds declared 1/2" in capsys.readouterr().err
+
+
+def test_simulate_uses_the_cells_proven_at_load(toy_path, monkeypatch, capsys):
+    spec = load_problem(toy_path)
+    monkeypatch.setattr(cli, "load_problem", lambda path: spec)
+    seen = []
+    real = cli.run_simulation
+
+    def run_simulation(system, x_cell, d_cell, *rest):
+        seen.append((x_cell, d_cell))
+        return real(system, x_cell, d_cell, *rest)
+
+    monkeypatch.setattr(cli, "run_simulation", run_simulation)
+    assert main(["simulate", str(toy_path), "1.8"]) == 0
+    [(x_cell, d_cell)] = seen
+    assert x_cell is spec.regions.x_cell and d_cell is spec.regions.d_cell
+
+
+def test_internal_invariant_exit_code(toy_path, monkeypatch, capsys):
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("abstraction loop left 1 blocks without successor")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    assert main(["verify", str(toy_path)]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path, capsys):

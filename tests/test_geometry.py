@@ -2,6 +2,7 @@
 agreement checks against independent oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from polybisim.geometry import (
     remove_redundancy,
     sample_point,
     scale_point,
+    split,
     vec,
 )
 
@@ -501,3 +503,108 @@ def test_point_of_the_wrong_dimension_is_rejected():
             contains_point(cell, bad)
         with pytest.raises(ValueError):
             scale_point(bad, 2)
+
+
+def _split_reference(cell, region):
+    """split written out: each region cell tested against the cell on its
+    own, and the outside part as a set difference."""
+    inside = [intersect(cell, rc) for rc in region.cells]
+    inside = [c for c in inside if not is_empty(c)]
+    return inside, list(difference(Region((cell,)), region).cells)
+
+
+def _disjoint_region(rng, n):
+    """A region of pairwise-disjoint cells: the complement pieces of a box
+    (some strict), the parts of a random cell inside and outside another,
+    or no cell at all."""
+    kind = rng.random()
+    if kind < 0.45:
+        lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
+        rows = []
+        for j in range(n):
+            unit = [int(k == j) for k in range(n)]
+            rows.append(constraint(unit, hi, rng.random() < 0.3))
+            rows.append(constraint([-u for u in unit], -lo, rng.random() < 0.3))
+        rng.shuffle(rows)
+        return complement(Cell(n, rows))
+    if kind < 0.9:
+        a, b = _random_cell(rng, n), _random_cell(rng, n)
+        return Region.of([intersect(a, b)] + list(difference(Region.of([a]), Region((b,))).cells))
+    return Region(())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_matches_the_reference(n):
+    rng = random.Random(700 + n)
+    meets = Counter()
+    for _ in range(100):
+        cell, region = _random_cell(rng, n), _disjoint_region(rng, n)
+        if region.cells and rng.random() < 0.2:  # a cell inside one region cell
+            cell = intersect(rng.choice(region.cells), cell)
+        if is_empty(cell):
+            continue
+        inside, outside = split(cell, region)
+        want_in, want_out = _split_reference(cell, region)
+        assert [c.constraints for c in inside] == [c.constraints for c in want_in]
+        assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+        meets[min(len(inside), 2), bool(outside)] += 1
+        for _ in range(20):
+            p = [Fraction(rng.randrange(-28, 29), 8) for _ in range(n)]
+            hits_in = sum(1 for c in inside if contains_point(c, p))
+            hits_out = sum(1 for c in outside if contains_point(c, p))
+            in_region = region_contains_point(region, p)
+            assert hits_in == int(contains_point(cell, p) and in_region)
+            assert hits_out == int(contains_point(cell, p) and not in_region)
+    # cells that meet no region cell, one (with and without a rest), and
+    # several all occur
+    assert min(meets[0, True], meets[1, True], meets[1, False], meets[2, True]) >= 5, meets
+
+
+@pytest.mark.parametrize(
+    "x, strict, parts",
+    [
+        # the segment x = 2, 0 <= y <= 2 crosses the face y = 1 of the box
+        # [1, 3]^2, whose complement keeps y < 1, or y <= 1 when the box
+        # is open
+        (2, False, (1, 1)),
+        (2, True, (1, 1)),
+        # on the face x = 1 the box keeps 1 <= y <= 2 of it, and the open
+        # box none
+        (1, False, (1, 1)),
+        (1, True, (1, 0)),
+    ],
+)
+def test_split_of_a_flat_cell(x, strict, parts):
+    cell = Cell(
+        2,
+        [constraint([1, 0], x), constraint([-1, 0], -x), constraint([0, 1], 2), constraint([0, -1], 0)],
+    )
+    region = complement(box2(1, 3, strict))
+    inside, outside = split(cell, region)
+    want_in, want_out = _split_reference(cell, region)
+    assert [c.constraints for c in inside] == [c.constraints for c in want_in]
+    assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+    assert (len(inside), len(outside)) == parts
+
+
+def test_split_decides_each_intersection_once(lp_calls):
+    cell = box2(0, 2)
+    far = box2(5, 6)  # its box misses the cell's box: no LP
+    meets = box2(1, 3)
+    # its box overlaps the cell's box, but the cell lies in x + y >= 0
+    corner = Cell(2, [constraint([-1, 0], 1), constraint([0, -1], 1), constraint([1, 1], F("-1/2"))])
+    region = Region((far, meets, corner))
+    for c in (cell,) + region.cells:
+        bounding_box(c)
+    lp_calls.clear()
+    inside, outside = split(cell, region)
+    # one LP proves that the cell meets `meets` and becomes inside[0]; two
+    # cut the rest (x < 1, and x >= 1 with y < 1; x > 3 and y > 3 fail on
+    # the box); one proves that the cell misses `corner`, which is then
+    # not tested against the rest's pieces
+    assert len(lp_calls) == 4
+    assert len({(tuple(map(tuple, rows)), tuple(rhs)) for _, rows, rhs in lp_calls}) == 4
+    assert [c.constraints for c in inside] == [intersect(cell, meets).constraints]
+    assert len(outside) == 2
+    want_in, want_out = _split_reference(cell, region)
+    assert [c.constraints for c in outside] == [c.constraints for c in want_out]

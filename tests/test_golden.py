@@ -1,0 +1,28 @@
+"""Exports pinned byte for byte: ``run_pipeline`` must reproduce the
+``quotient.txt`` and ``satisfying.txt`` kept under ``tests/golden/<name>/``.
+
+The goldens were written by ``run_pipeline(load_problem(path),
+out_dir=...)``.  Regenerate them only with a change that is meant to alter
+the quotient, and say so where the change is recorded.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from polybisim import load_problem, run_pipeline
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PROBLEMS = {
+    "toy_1d": GOLDEN.parent.parent / "fixtures" / "toy_1d.json",
+    # two slices, two regions, preimages across several pieces of X \ D
+    "two_slice_2d": GOLDEN / "two_slice_2d.json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_run_pipeline_reproduces_the_golden_exports(name, tmp_path):
+    result = run_pipeline(load_problem(PROBLEMS[name]), out_dir=str(tmp_path))
+    assert result.exit_code == 0
+    for export in ("quotient.txt", "satisfying.txt"):
+        assert (tmp_path / export).read_bytes() == (GOLDEN / name / export).read_bytes()
