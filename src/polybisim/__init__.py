@@ -57,6 +57,7 @@ from .verify import (
     f_star,
     f_star_fixpoint,
     f_star_scc,
+    label_quotient,
     product,
     satisfying_states,
 )

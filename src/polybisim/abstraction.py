@@ -148,6 +148,13 @@ def observation_of(
     x: Sequence, regions: Sequence[ObservedRegion], d_cell: Cell
 ) -> Observation:
     p, m = scale_point(x, d_cell.dim)
+    return _observation_scaled(p, m, regions, d_cell)
+
+
+def _observation_scaled(
+    p: tuple[int, ...], m: int, regions: Sequence[ObservedRegion], d_cell: Cell
+) -> Observation:
+    """``observation_of`` the point p / m, as made by ``scale_point``."""
     if contains_scaled(d_cell, p, m):
         return OBS_TARGET
     for r in regions:

@@ -1,17 +1,20 @@
-"""LTL over observation letters: parsing, automaton translation, and an
-independent semantic oracle on ultimately-periodic words.
+"""LTL over observation letters: parsing, a path labeller, and automaton
+translation.
 
-The translation pipeline is negation normal form, tableau expansion to a
-generalized Buchi automaton, then counter-based degeneralization.  The
-oracle evaluates LTL semantics directly on the lasso by fixpoint
-iteration and never touches the automaton path, so the two can check each
-other.
+``label`` evaluates LTL semantics directly, by fixpoint iteration, on a
+finite structure in which every position has one successor.  It checks
+formulas on the deterministic quotient (``verify.label_quotient``, the
+pipeline's path) and, through ``eval_ltl_lasso``, on ultimately-periodic
+words.  The translation is negation normal form, tableau expansion to a
+generalized Buchi automaton, then counter-based degeneralization.  It
+never touches the labeller, so the automaton path is the labeller's
+independent check and the labeller is the translation's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 Letter = frozenset
 
@@ -590,15 +593,16 @@ def lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
     return False
 
 
-def eval_ltl_lasso(f: Formula, w: LassoWord) -> bool:
-    """Direct LTL semantics on the lasso at position 0.
+def label(f: Formula, letters: Sequence[Letter], succ: Sequence[int]) -> list[bool]:
+    """Truth of f at every position 0..n-1 of a structure in which position
+    k reads letters[k] and has the one successor succ[k].
 
-    Works position-set-wise on the finite unrolling 0..len(w)-1 whose
-    successor relation wraps into the cycle; Until and Release are least
-    and greatest fixpoints computed by sweep iteration.
+    Every run of such a structure is ultimately periodic, so each subformula
+    holds at k iff it holds on letters[k] and at succ[k]; Until is the least
+    fixpoint of that rule, and Always and Release are the negated least
+    fixpoints of their negated operands.
     """
-    n = len(w)
-    positions = range(n)
+    n = len(letters)
 
     def sets(g: Formula) -> list[bool]:
         if isinstance(g, TrueF):
@@ -606,7 +610,7 @@ def eval_ltl_lasso(f: Formula, w: LassoWord) -> bool:
         if isinstance(g, FalseF):
             return [False] * n
         if isinstance(g, Atom):
-            return [g.name in w.letter(k) for k in positions]
+            return [g.name in letter for letter in letters]
         if isinstance(g, Not):
             return [not v for v in sets(g.operand)]
         if isinstance(g, And):
@@ -620,44 +624,41 @@ def eval_ltl_lasso(f: Formula, w: LassoWord) -> bool:
             return [(not x) or y for x, y in zip(a, b2)]
         if isinstance(g, Next):
             a = sets(g.operand)
-            return [a[w.succ(k)] for k in positions]
+            return [a[k] for k in succ]
         if isinstance(g, Eventually):
-            return _lfp(sets(TrueF()), sets(g.operand), w)
+            return _lfp([True] * n, sets(g.operand), succ)
         if isinstance(g, Until):
-            return _lfp(sets(g.left), sets(g.right), w)
+            return _lfp(sets(g.left), sets(g.right), succ)
         if isinstance(g, Always):
-            return _gfp(sets(FalseF()), sets(g.operand), w)
+            goal = [not v for v in sets(g.operand)]
+            return [not v for v in _lfp([True] * n, goal, succ)]
         if isinstance(g, Release):
-            return _gfp(sets(g.left), sets(g.right), w)
+            hold = [not v for v in sets(g.left)]
+            goal = [not v for v in sets(g.right)]
+            return [not v for v in _lfp(hold, goal, succ)]
         raise TypeError(f"unknown formula node: {g!r}")
 
-    return sets(f)[0]
+    return sets(f)
 
 
-def _lfp(hold: list[bool], goal: list[bool], w: LassoWord) -> list[bool]:
-    """Least fixpoint of  v[k] = goal[k] or (hold[k] and v[succ(k)])."""
-    n = len(w)
+def eval_ltl_lasso(f: Formula, w: LassoWord) -> bool:
+    """Direct LTL semantics on the lasso at position 0: ``label`` on the
+    finite unrolling 0..len(w)-1, whose last position wraps into the cycle."""
+    return label(f, w.prefix + w.cycle, [*range(1, len(w)), len(w.prefix)])[0]
+
+
+def _lfp(hold: list[bool], goal: list[bool], succ: Sequence[int]) -> list[bool]:
+    """Least fixpoint of  v[k] = goal[k] or (hold[k] and v[succ[k]]).
+
+    Sweeps run n-1..0, so a successor of higher index is settled in the
+    same sweep.
+    """
+    n = len(succ)
     val = [False] * n
     for _ in range(n + 1):
         changed = False
         for k in range(n - 1, -1, -1):
-            v = goal[k] or (hold[k] and val[w.succ(k)])
-            if v != val[k]:
-                val[k] = v
-                changed = True
-        if not changed:
-            break
-    return val
-
-
-def _gfp(release: list[bool], hold: list[bool], w: LassoWord) -> list[bool]:
-    """Greatest fixpoint of  v[k] = hold[k] and (release[k] or v[succ(k)])."""
-    n = len(w)
-    val = [True] * n
-    for _ in range(n + 1):
-        changed = False
-        for k in range(n - 1, -1, -1):
-            v = hold[k] and (release[k] or val[w.succ(k)])
+            v = goal[k] or (hold[k] and val[succ[k]])
             if v != val[k]:
                 val[k] = v
                 changed = True

@@ -1,5 +1,4 @@
-"""End-to-end orchestration: abstract, translate, product, verify,
-cross-validate, export."""
+"""End-to-end orchestration: abstract, label, cross-validate, export."""
 
 from __future__ import annotations
 
@@ -14,11 +13,10 @@ from .abstraction import (
     build_quotient,
     export_quotient,
 )
-from .logic import parse_ltl, to_buchi
+from .logic import parse_ltl
 from .simulate import cross_validate
-from .verify import f_star, product, satisfying_states
 from .problem import ProblemSpec
-from .verify import SatisfyingSet, export_satisfying
+from .verify import SatisfyingSet, export_satisfying, label_quotient
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -63,10 +61,7 @@ def run_pipeline(
     if spec.formula:
         atoms = {"pid"} | {r.label for r in spec.regions}
         formula = parse_ltl(spec.formula, atoms)
-        automaton = to_buchi(formula)
-        prod = product(quotient, automaton)
-        core = f_star(prod)
-        satisfying = satisfying_states(prod, core, partition)
+        satisfying = label_quotient(quotient, formula, partition)
         lines.append(
             f"formula: {spec.formula!r} -> "
             f"{len(satisfying.state_ids)} of {len(quotient.states)} "

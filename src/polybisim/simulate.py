@@ -17,11 +17,13 @@ from .abstraction import (
     ObservedRegion,
     Partition,
     QuotientTS,
+    _observation_scaled,
     observation_of,
     quotient_word,
 )
 from .geometry import (
-    Cell, Vector, apply_matrix, bounding_box, contains_point, sample_point, vec
+    Cell, Vector, apply_matrix, bounding_box, contains_point, contains_scaled,
+    sample_point, scale_point, vec,
 )
 from .logic import Formula, LassoWord, eval_ltl_lasso
 from .lyapunov import LinearSystem
@@ -56,10 +58,11 @@ def simulate(
     overrun raises instead of looping.
     """
     x = vec(x0)
-    if not contains_point(x_cell, x):
+    p, m = scale_point(x, x_cell.dim)
+    if not contains_scaled(x_cell, p, m):
         raise ValueError("initial state lies outside the working set")
     points = [x]
-    word = [observation_of(x, regions, d_cell)]
+    word = [_observation_scaled(p, m, regions, d_cell)]
     steps = 0
     while not word[-1].is_target:
         if steps >= max_steps:

@@ -1,10 +1,12 @@
-"""Product automaton, self-reaching accepting core, and satisfying set.
+"""Satisfying sets on the deterministic quotient, found two independent ways.
 
-The product synchronizes the deterministic quotient with a formula
-automaton.  The accepting core is the largest set of accepting product
-states each of which can reach another member in at least one step; a
-state of the quotient satisfies the formula exactly when the core is
-reachable from one of its initial pairings.
+``label_quotient``, the pipeline's path, labels each state with
+``logic.label`` from its letter and its one successor: no automaton.  The
+automaton path is its check: ``product`` synchronizes the quotient with a
+formula automaton, the accepting core is the largest set of accepting
+product states each of which can reach another member in at least one
+step, and a state satisfies the formula exactly when the core is reachable
+from one of its initial pairings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Hashable, Optional
 
 from .abstraction import Partition, QuotientTS
 from .geometry import Region
-from .logic import BuchiAutomaton, _sccs
+from .logic import BuchiAutomaton, Formula, _sccs, formula_atoms, label
 
 ProductState = tuple  # (quotient state, automaton state)
 
@@ -38,18 +40,55 @@ class SatisfyingSet:
         return state_id in self.state_ids
 
 
-def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
-    """Synchronized product; edges fire on the source quotient state's
-    observation letter, and each guard is tested once per distinct
-    observation."""
+def _check_atoms(quotient: QuotientTS, atoms) -> None:
     alphabet = {"pid"} | {
         o.label for o in quotient.observations.values() if o.is_region
     }
-    undeclared = set(b.atoms) - alphabet
+    undeclared = set(atoms) - alphabet
     if undeclared:
         raise ValueError(
             f"formula atoms {sorted(undeclared)} are not quotient observations"
         )
+
+
+def _satisfying_set(
+    included: frozenset, partition: Optional[Partition]
+) -> SatisfyingSet:
+    """The states, with the union of their blocks' cells in block order as
+    the answer region when a partition is supplied."""
+    region = None if partition is None else Region(
+        tuple(b.cell for b in partition.ordered_blocks() if b.id in included)
+    )
+    return SatisfyingSet(included, region)
+
+
+def label_quotient(
+    quotient: QuotientTS, f: Formula, partition: Optional[Partition] = None
+) -> SatisfyingSet:
+    """Quotient states that satisfy f, by ``logic.label`` on the quotient.
+
+    Positions take the states in reverse ``quotient.states`` order, so every
+    successor has a higher index (the target, last, loops on itself) and
+    each fixpoint settles in one sweep plus one that confirms it.
+    """
+    _check_atoms(quotient, formula_atoms(f))
+    order = quotient.states[::-1]
+    index = {q: k for k, q in enumerate(order)}
+    truth = label(
+        f,
+        [quotient.observations[q].letter() for q in order],
+        [index[quotient.transitions[q]] for q in order],
+    )
+    return _satisfying_set(
+        frozenset(q for q, holds in zip(order, truth) if holds), partition
+    )
+
+
+def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
+    """Synchronized product; edges fire on the source quotient state's
+    observation letter, and each guard is tested once per distinct
+    observation."""
+    _check_atoms(quotient, b.atoms)
     states = []
     transitions = {}
     fired = {}  # observation -> {automaton state: destinations it enables}
@@ -144,17 +183,9 @@ def satisfying_states(
     """
     preds = _predecessors(p.transitions, p.states)
     reach = _backward_closure(fstar, preds)
-    included = frozenset(q for (q, s) in p.initial if (q, s) in reach)
-    region = None
-    if partition is not None:
-        region = Region(
-            tuple(
-                b.cell
-                for b in partition.ordered_blocks()
-                if b.id in included
-            )
-        )
-    return SatisfyingSet(included, region)
+    return _satisfying_set(
+        frozenset(q for (q, s) in p.initial if (q, s) in reach), partition
+    )
 
 
 def export_satisfying(

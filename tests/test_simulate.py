@@ -1,5 +1,6 @@
 """Exact trajectory simulation and quotient cross-validation."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,26 @@ def test_simulate_overrun_raises():
     sys, _, x_cell, d_cell = _setting_1d()
     with pytest.raises(AssertionError):
         simulate(sys, x_cell, d_cell, [], [F(2)], 0)
+
+
+def test_simulate_scales_each_point_once(monkeypatch):
+    sys, lf, _, d_cell = _setting_1d()
+    x_cell = sublevel_cell(lf, 8)
+    geometry = importlib.import_module("polybisim.geometry")
+    real, calls = geometry.scale_point, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name in ("geometry", "abstraction", "simulate"):
+        module = importlib.import_module(f"polybisim.{name}")
+        if hasattr(module, "scale_point"):
+            monkeypatch.setattr(module, "scale_point", counting)
+    traj = simulate(sys, x_cell, d_cell, [], [F(8)], 5)
+    steps = len(traj.points) - 1
+    assert steps == 3
+    assert len(calls) == steps + 1
 
 
 def test_lasso_structure():

@@ -1,22 +1,48 @@
 """Product construction, the self-reaching accepting core, and the
-satisfying set."""
+satisfying set; labelling the quotient against the automaton path."""
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polybisim.abstraction import ObservedRegion, build_quotient
 from polybisim.geometry import Cell, constraint
-from polybisim.logic import parse_ltl, to_buchi
+from polybisim.logic import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    FalseF,
+    Implies,
+    Next,
+    Not,
+    Or,
+    TrueF,
+    Until,
+    nnf,
+    parse_ltl,
+    to_buchi,
+)
 from polybisim.lyapunov import LinearSystem, PolyhedralLF
+from polybisim.pipeline import run_pipeline
+from polybisim.problem import load_problem
 from polybisim.verify import (
     ProductAutomaton,
     f_star,
     f_star_fixpoint,
     f_star_scc,
+    label_quotient,
     product,
     satisfying_states,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = {
+    "toy_1d": ROOT / "fixtures" / "toy_1d.json",
+    "two_slice_2d": ROOT / "tests" / "golden" / "two_slice_2d.json",
+}
 
 
 def automaton(edges, accepting):
@@ -153,3 +179,101 @@ def test_product_matches_per_state_guard_evaluation():
                 )
         assert list(p.transitions.items()) == list(want.items())
         assert p.states == tuple(want)
+
+
+def _box3(lo, hi):
+    return Cell(3, [
+        c
+        for i in range(3)
+        for c in (
+            constraint([int(j == i) for j in range(3)], hi[i]),
+            constraint([-int(j == i) for j in range(3)], -Fraction(lo[i])),
+        )
+    ])
+
+
+def _quotient_3d():
+    """Two slices, two regions: words such as EMPTY s PI_D."""
+    sys = LinearSystem.of(
+        [["0.5", "0", "0"], ["0", "0.5", "-0.25"], ["0", "0.25", "0.5"]]
+    )
+    lf = PolyhedralLF.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "0.75")
+    regions = [
+        ObservedRegion("r", _box3(["1.1", -1, -1], ["1.5", 1, 1])),
+        ObservedRegion("s", _box3([-1, "-1.5", -1], [1, "-1.1", 1])),
+    ]
+    return build_quotient(sys, lf, 1, "1.5", regions)
+
+
+def _quotient_of(name):
+    spec = load_problem(PROBLEMS[name])
+    return build_quotient(
+        spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
+    )
+
+
+def _random_formula(rng, atoms, depth):
+    """Every connective, with nested X, Until chains, true and false."""
+    def leaf():
+        return rng.choice([TrueF(), FalseF()] + [Atom(a) for a in atoms] * 2)
+
+    def sub():
+        return _random_formula(rng, atoms, depth - 1)
+
+    if depth == 0 or rng.random() < 0.2:
+        return leaf()
+    op = rng.randrange(10)
+    if op == 0:
+        return Not(sub())
+    if op == 1:
+        return Next(Next(sub()) if rng.random() < 0.5 else sub())
+    if op == 2:
+        return Eventually(sub())
+    if op == 3:
+        return Always(sub())
+    if op == 4:
+        return And(sub(), sub())
+    if op == 5:
+        return Or(sub(), sub())
+    if op == 6:
+        return Implies(sub(), sub())
+    if op == 7:
+        return Until(leaf(), Until(leaf(), sub()))
+    return Until(sub(), sub())
+
+
+@pytest.mark.parametrize("name", ["toy_1d", "two_slice_2d", "three_d"])
+def test_labelling_matches_the_automaton_path(name):
+    quotient, partition = (
+        _quotient_3d() if name == "three_d" else _quotient_of(name)
+    )
+    atoms = ["pid"] + sorted(
+        {o.label for o in quotient.observations.values() if o.is_region}
+    )
+    rng = random.Random(53)
+    disagree = []
+    for _ in range(300):
+        f = _random_formula(rng, atoms, rng.randint(1, 3))
+        p = product(quotient, to_buchi(f))
+        want = satisfying_states(p, f_star(p), partition)
+        # nnf(f) has the same answer and exercises Release
+        for g in (f, nnf(f)):
+            if label_quotient(quotient, g, partition) != want:
+                disagree.append(str(g))
+    assert disagree == []
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_run_pipeline_region_matches_the_automaton_path(name):
+    spec = load_problem(PROBLEMS[name])
+    result = run_pipeline(spec, samples=0)
+    p = product(result.quotient, to_buchi(parse_ltl(spec.formula)))
+    want = satisfying_states(p, f_star(p), result.partition)
+    assert result.satisfying.state_ids == want.state_ids
+    assert result.satisfying.region.cells == want.region.cells
+
+
+def test_label_quotient_rejects_undeclared_atoms():
+    quotient, _ = _quotient_1d()
+    with pytest.raises(ValueError):
+        label_quotient(quotient, parse_ltl("F r9"))
