@@ -1,8 +1,10 @@
 """Finite bisimulation quotient of a stable linear system.
 
 Builds the embedding-semantics partition of the working set, refines it
-slice by slice against one-step preimages, and emits a deterministic
-finite transition system whose states are the partition blocks.  All set
+slice by slice against the one-step preimage of each block of the slice
+below, and emits a deterministic finite transition system whose states
+are the partition blocks.  Every candidate block already lies in X \\ D,
+which only ``lyapunov.slices`` cuts, so a preimage is used whole.  All set
 operations are exact, so the produced relation really is a bisimulation,
 not an approximation of one.
 """
@@ -20,6 +22,7 @@ from .geometry import (
     bounding_box,
     box_contains_scaled,
     boxes_overlap,
+    cell_subset,
     cells_disjoint,
     contains_scaled,
     difference,
@@ -100,7 +103,6 @@ class Partition:
         x_cell: Cell,
         d_cell: Cell,
         d_block_id: int,
-        outside_target: Region,
     ):
         self.dim = dim
         self.blocks: dict[int, Block] = {b.id: b for b in blocks}
@@ -108,7 +110,6 @@ class Partition:
         self.x_cell = x_cell
         self.d_cell = d_cell
         self.d_block_id = d_block_id
-        self.outside_target = outside_target
         # the certified contraction rate, once build_quotient has one
         self.rho_star: Optional[Fraction] = None
         self._next_id = 1 + max(self.blocks, default=-1)
@@ -180,18 +181,19 @@ class RegionError(ValueError):
 class ValidatedRegions(tuple):
     """Observed regions proven unique, disjoint and inside X \\ D.
 
-    Carries the cells they were proven against (``x_cell``, ``d_cell`` and
-    the redundancy-free ``outside_target``), so the partition built on them
-    reuses the proof and the cells' cached boxes and samples.
+    Carries the cells they were proven against (``x_cell`` and ``d_cell``),
+    so the partition built on them reuses the proof and the cells' cached
+    boxes and samples.
     """
 
 
 def validate_regions(
     x_cell: Cell, d_cell: Cell, regions: Sequence[ObservedRegion]
 ) -> ValidatedRegions:
-    """Prove that the labels are unique, that each region lies inside the
-    redundancy-free X \\ D, and that the regions are pairwise disjoint.
-    Regions already validated against equal X and D are returned as is."""
+    """Prove that the labels are unique, that each region lies inside X and
+    misses D, and that the regions are pairwise disjoint.  X \\ D itself is
+    never cut here.  Regions already validated against equal X and D are
+    returned as is."""
     if isinstance(regions, ValidatedRegions) and (
         regions.x_cell.constraints, regions.d_cell.constraints
     ) == (x_cell.constraints, d_cell.constraints):
@@ -199,12 +201,8 @@ def validate_regions(
     labels = [r.label for r in regions]
     if len(set(labels)) != len(labels):
         raise RegionError(MALFORMED, "duplicate region labels")
-    outside_target = difference(Region.of([x_cell]), Region.of([d_cell]))
-    outside_target = Region(
-        tuple(remove_redundancy(c) for c in outside_target.cells)
-    )
     for r in regions:
-        if not difference(Region.of([r.cell]), outside_target).is_empty():
+        if not (cell_subset(r.cell, x_cell) and cells_disjoint(r.cell, d_cell)):
             raise RegionError(
                 REGION_DOMAIN,
                 f"region {r.label} is not inside the working set minus "
@@ -217,7 +215,7 @@ def validate_regions(
                     REGION_OVERLAP, f"regions {a.label} and {b.label} overlap"
                 )
     out = ValidatedRegions(regions)
-    out.x_cell, out.d_cell, out.outside_target = x_cell, d_cell, outside_target
+    out.x_cell, out.d_cell = x_cell, d_cell
     return out
 
 
@@ -255,31 +253,16 @@ def initial_partition(
                 remaining = [c for _, outside in cuts for c in outside]
             for c in remaining:
                 add(c, OBS_EMPTY, i)
-    return Partition(
-        x_cell.dim,
-        blocks,
-        slice_regions,
-        x_cell,
-        d_cell,
-        d_block.id,
-        regions.outside_target,
-    )
+    return Partition(x_cell.dim, blocks, slice_regions, x_cell, d_cell, d_block.id)
 
 
-def find_pre(
-    target: Region, sys: LinearSystem, outside_target: Region
-) -> Region:
-    """States outside the target set whose one-step image lies in target."""
-    cells = []
-    for tc in target.cells:
-        pc = preimage_linear(tc, sys.a_matrix)
-        for xc in outside_target.cells:
-            if not boxes_overlap(pc, xc):
-                continue
-            inter = intersect(pc, xc)
-            if not is_empty(inter):
-                cells.append(remove_redundancy(inter))
-    return Region(tuple(cells))
+def find_pre(target: Region, sys: LinearSystem) -> Region:
+    """The states whose one-step image lies in target: the non-empty
+    preimage of each target cell, as it is.  The refinement cuts blocks
+    that already lie in X \\ D, so the preimage is not cut by it.  When A
+    is invertible x -> Ax is a bijection, and the preimage of a
+    redundancy-free cell is redundancy-free."""
+    return Region.of(preimage_linear(tc, sys.a_matrix) for tc in target.cells)
 
 
 def build_quotient(
@@ -312,7 +295,7 @@ def build_quotient(
     for i in range(seq.n_steps):
         targets = [b for b in blocks.values() if b.slice_index == i]
         for tgt in targets:
-            pre = find_pre(Region((tgt.cell,)), sys, partition.outside_target)
+            pre = find_pre(Region((tgt.cell,)), sys)
             if pre.is_empty():
                 continue
             candidates = [

@@ -6,9 +6,10 @@ Subcommands:
   check-lf   certify the contraction rate of the supplied function
   simulate   run one exact trajectory from a given initial state
 
-Exit codes: 0 success, 1 input error, 2 invariant violation (an
-uncertified contraction rate or a failed cross-validation), 3 internal
-error (a broken internal invariant, raised as AssertionError).
+Exit codes: 0 success (``--help`` too), 1 input error (a malformed
+command line or problem file), 2 invariant violation (an uncertified
+contraction rate or a failed cross-validation), 3 internal error (a broken
+internal invariant, raised as AssertionError).
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from .simulate import simulate as run_simulation
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"negative count: {text}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="polybisim",
         description=(
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--svg", action="store_true", help="write SVG plots")
     p_ver.add_argument(
         "--samples",
-        type=int,
+        type=count,
         default=None,
         help="cross-validation sample count (overrides the problem file)",
     )
@@ -76,7 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         spec = load_problem(args.problem)
     except ProblemError as exc:

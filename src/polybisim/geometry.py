@@ -233,8 +233,9 @@ def complement(cell: Cell) -> Region:
 
 def _cut(pieces: list[Cell], bc: Cell, met: Optional[Cell] = None) -> list[Cell]:
     """The pieces minus bc.  A piece that misses bc stays as it is; one
-    that meets it (``met`` is known to) is cut by bc's complement pieces,
-    not proven non-empty first, keeping the intersections proven non-empty.
+    that meets it is cut by bc's complement pieces, not proven non-empty
+    first, keeping the intersections proven non-empty.  ``met`` is cut with
+    no meet test: it is known to meet bc, or only its pieces are wanted.
     An intersection with a row that fails on the piece's whole bounding box
     (interval arithmetic) is empty with no LP."""
     comp = _complement_pieces(bc)
@@ -400,10 +401,9 @@ def apply_matrix(a_matrix: Matrix, x: Vector) -> Vector:
 
 
 def cell_subset(a: Cell, b: Cell) -> bool:
-    """Exact test a <= b via emptiness of a minus b."""
-    return all(
-        is_empty(intersect(a, piece)) for piece in _complement_pieces(b)
-    )
+    """Exact test a <= b: a meets no complement piece of b.  A piece whose
+    negated row fails on a's whole bounding box needs no LP."""
+    return not _cut([a], b, met=a)
 
 
 def region_contains_point(region: Region, point: Sequence) -> bool:

@@ -4,8 +4,9 @@ A problem is one JSON document; every numeric entry is a decimal string
 so it can be parsed digit-exactly into a rational.  Every failure carries
 a stable error code, so callers can map it to an exit code without string
 matching.  The region geometry is proven by
-``abstraction.validate_regions``, whose result the spec keeps so that the
-quotient build does not prove it again.
+``abstraction.validate_regions`` (each region inside X and disjoint from D,
+the regions pairwise disjoint; X \\ D itself is not cut), whose result the
+spec keeps so that the quotient build does not prove it again.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def parse_problem(doc: dict) -> ProblemSpec:
 
     options = _typed(doc.get("options", {}), dict, "options")
     sample_count = options.get("sample_count", 0)
-    _typed(sample_count, int, "options.sample_count")
+    if _typed(sample_count, int, "options.sample_count") < 0:
+        raise ProblemError(
+            MALFORMED, f"options.sample_count is negative: {sample_count}"
+        )
     formula = doc.get("formula")
     if formula is not None:
         _typed(formula, str, "formula")

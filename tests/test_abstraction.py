@@ -25,7 +25,6 @@ from polybisim.geometry import (
     Region,
     constraint,
     contains_point,
-    difference,
     region_contains_point,
     sample_point,
     vec,
@@ -140,14 +139,16 @@ def test_initial_partition_rejects_bad_regions():
 def test_find_pre_1d():
     sys = LinearSystem.of([["0.5"]])
     d_cell = Cell(1, [constraint([1], 1), constraint([-1], 1)])
-    x_cell = Cell(1, [constraint([1], 2), constraint([-1], 2)])
-    outside = difference(Region.of([x_cell]), Region.of([d_cell]))
-    pre = find_pre(Region.of([d_cell]), sys, outside)
-    # preimage of [-1,1] under x/2 is [-2,2]; outside the target that is
-    # the two outer intervals
-    assert region_contains_point(pre, [F("1.5")])
-    assert region_contains_point(pre, [F("-2")])
-    assert not region_contains_point(pre, [F("0.5")])
+    pre = find_pre(Region.of([d_cell]), sys)
+    # the preimage of [-1,1] under x/2 is the whole of [-2,2], one cell
+    assert len(pre.cells) == 1
+    assert [(c.normal, c.offset, c.strict) for c in pre.cells[0].constraints] == [
+        ((Fraction(1, 2),), 1, False),
+        ((Fraction(-1, 2),), 1, False),
+    ]
+    for x in ("-2", "0", "0.5", "2"):
+        assert region_contains_point(pre, [F(x)])
+    assert not region_contains_point(pre, [F("2.5")])
 
 
 def test_build_quotient_small2d(small2d):

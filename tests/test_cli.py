@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polybisim import cli
 from polybisim.abstraction import parse_quotient
 from polybisim.cli import main
@@ -116,9 +118,31 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["verify"],
+        ["verify", "{toy}", "--samples", "abc"],
+        ["verify", "{toy}", "--samples", "-1"],
+        ["verify", "{toy}", "--no-such-flag"],
+    ],
+)
+def test_usage_error_exit_code(argv, toy_path, capsys):
+    assert main([a.format(toy=toy_path) for a in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exit_code(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_malformed_file_exit_code(tmp_path, capsys):
     for edit in (
         {"options": {"sample_count": "abc"}},
+        {"options": {"sample_count": -5}},
         {"regions": [{"name": "r", "H": [["1"]], "h": ["1.5"]}] * 2},
     ):
         doc = {"A": [["0.5"]], "L": [["1"]], "rho": "0.5"}

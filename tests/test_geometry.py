@@ -329,6 +329,10 @@ def test_difference_matches_pruned_complement_reference(n):
         got = difference(a, b)
         want = _difference_with_pruned_complement(a, b)
         assert [c.constraints for c in got.cells] == [c.constraints for c in want]
+        for bc in b.cells:  # cell_subset shares the cut and its box test
+            assert cell_subset(first, bc) == all(
+                is_empty(intersect(first, cc)) for cc in complement(bc).cells
+            )
         for _ in range(20):
             p = [Fraction(rng.randrange(-28, 29), 8) for _ in range(n)]
             hits = sum(1 for c in got.cells if contains_point(c, p))

@@ -15,7 +15,7 @@ from polybisim import load_problem, run_pipeline
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PROBLEMS = {
     "toy_1d": GOLDEN.parent.parent / "fixtures" / "toy_1d.json",
-    # two slices, two regions, preimages across several pieces of X \ D
+    # two slices, two regions, rotated preimages cutting the outer slice
     "two_slice_2d": GOLDEN / "two_slice_2d.json",
 }
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import traceback
 from collections import Counter
 from fractions import Fraction
 
@@ -168,6 +169,7 @@ def _set(path, value):
         _set(["options"], ["sample_count", 10]),
         _set(["options", "sample_count"], "abc"),
         _set(["options", "sample_count"], 2.5),
+        _set(["options", "sample_count"], -1),
         _set(["regions"], {"name": "r1"}),
         _set(["regions", 0], "r1"),
         _set(["regions", 0, "h"], "3"),
@@ -179,6 +181,7 @@ def _set(path, value):
         "options-not-object",
         "sample-count-string",
         "sample-count-float",
+        "sample-count-negative",
         "regions-not-list",
         "region-not-object",
         "h-not-list",
@@ -193,16 +196,19 @@ def test_malformed_shapes(edit):
     _expect_code(doc, MALFORMED)
 
 
+def one_slice_doc():
+    doc = base_doc()
+    doc["gamma_X"] = "2"
+    doc["regions"][0]["h"] = ["2", "-1.5", "1", "1"]
+    return doc
+
+
 def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
-    """load_problem + run_pipeline compute X \\ D once, solve the
-    contraction LPs once, and prove the emptiness and the box of X and of
-    D once each."""
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(base_doc()))
-    spec = parse_problem(base_doc())
-    x_rows = lyapunov.sublevel_cell(spec.lf, spec.gamma_x).constraints
-    d_rows = lyapunov.sublevel_cell(spec.lf, spec.gamma_d).constraints
-    names = {x_rows: "X", d_rows: "D"}
+    """load_problem + run_pipeline cut X \\ D only where it is a slice
+    (inside ``lyapunov.slices``, once), solve the contraction LPs once, and
+    prove the box of X and of D once each.  X is never proven non-empty,
+    and D only once, for the sample of the target block."""
+    names = {}
     counts = Counter()
     real = {
         "difference": geometry.difference,
@@ -212,10 +218,12 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     real_maxima = lyapunov.unit_ball_row_maxima
 
     def difference(a, b):
-        if [c.constraints for c in a.cells] == [x_rows] and [
-            c.constraints for c in b.cells
-        ] == [d_rows]:
+        if [names.get(c.constraints) for c in a.cells + b.cells] == ["X", "D"]:
             counts["X minus D"] += 1
+            counts["X minus D in slices"] += any(
+                f.f_code is lyapunov.slices.__code__
+                for f, _ in traceback.walk_stack(None)
+            )
         return real["difference"](a, b)
 
     def bounding_box(cell):
@@ -241,16 +249,25 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     monkeypatch.setattr(geometry, "_slack_lp", slack_lp)
     monkeypatch.setattr(lyapunov, "unit_ball_row_maxima", unit_ball_row_maxima)
 
-    result = run_pipeline(load_problem(path))
-    assert result.exit_code == 0
-    assert counts == {
-        "X minus D": 1,
-        "row maxima": 1,
-        "X emptiness": 1,
-        "D emptiness": 1,
-        "X box": 1,
-        "D box": 1,
-    }
+    path = tmp_path / "p.json"
+    for doc, x_minus_d in ((base_doc(), 0), (one_slice_doc(), 1)):
+        spec = parse_problem(doc)
+        names.clear()
+        for gamma, name in ((spec.gamma_x, "X"), (spec.gamma_d, "D")):
+            names[lyapunov.sublevel_cell(spec.lf, gamma).constraints] = name
+        path.write_text(json.dumps(doc))
+        counts.clear()
+        result = run_pipeline(load_problem(path))
+        assert result.exit_code == 0
+        assert +counts == +Counter({
+            "X minus D": x_minus_d,
+            "X minus D in slices": x_minus_d,
+            "row maxima": 1,
+            "X emptiness": 0,
+            "D emptiness": 1,
+            "X box": 1,
+            "D box": 1,
+        })
 
 
 def test_validated_regions_are_proven_again_for_other_sets():

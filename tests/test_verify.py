@@ -1,5 +1,6 @@
 """Product construction, the self-reaching accepting core, and the
-satisfying set; labelling the quotient against the automaton path."""
+satisfying set; labelling the quotient against the automaton path; the
+exact bisimulation property of the quotients labelled."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from polybisim.abstraction import ObservedRegion, build_quotient
-from polybisim.geometry import Cell, constraint
+from polybisim.abstraction import ObservedRegion, audit_partition, build_quotient
+from polybisim.geometry import (
+    Cell,
+    cells_disjoint,
+    complement,
+    constraint,
+    preimage_linear,
+)
 from polybisim.logic import (
     Always,
     And,
@@ -181,35 +188,48 @@ def test_product_matches_per_state_guard_evaluation():
         assert p.states == tuple(want)
 
 
-def _box3(lo, hi):
-    return Cell(3, [
+def _box(lo, hi):
+    n = len(lo)
+    return Cell(n, [
         c
-        for i in range(3)
+        for i in range(n)
         for c in (
-            constraint([int(j == i) for j in range(3)], hi[i]),
-            constraint([-int(j == i) for j in range(3)], -Fraction(lo[i])),
+            constraint([int(j == i) for j in range(n)], hi[i]),
+            constraint([-int(j == i) for j in range(n)], -Fraction(lo[i])),
         )
     ])
 
 
-def _quotient_3d():
-    """Two slices, two regions: words such as EMPTY s PI_D."""
-    sys = LinearSystem.of(
-        [["0.5", "0", "0"], ["0", "0.5", "-0.25"], ["0", "0.25", "0.5"]]
-    )
-    lf = PolyhedralLF.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "0.75")
-    regions = [
-        ObservedRegion("r", _box3(["1.1", -1, -1], ["1.5", 1, 1])),
-        ObservedRegion("s", _box3([-1, "-1.5", -1], [1, "-1.1", 1])),
-    ]
-    return build_quotient(sys, lf, 1, "1.5", regions)
-
-
-def _quotient_of(name):
+def _problem(name):
+    """(system, lf, gamma_D, gamma_X, regions) of a named problem."""
+    if name == "three_d":
+        # two slices, two regions: words such as EMPTY s PI_D
+        return (
+            LinearSystem.of(
+                [["0.5", "0", "0"], ["0", "0.5", "-0.25"], ["0", "0.25", "0.5"]]
+            ),
+            PolyhedralLF.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "0.75"),
+            1,
+            "1.5",
+            [
+                ObservedRegion("r", _box(["1.1", -1, -1], ["1.5", 1, 1])),
+                ObservedRegion("s", _box([-1, "-1.5", -1], [1, "-1.1", 1])),
+            ],
+        )
+    if name == "rank_one":
+        # A maps the plane onto the diagonal: a singular A, two slices
+        return (
+            LinearSystem.of([["0.25", "0.25"], ["0.25", "0.25"]]),
+            PolyhedralLF.of([[1, 0], [0, 1]], "0.5"),
+            1,
+            4,
+            [
+                ObservedRegion("r", _box([2, -1], [3, 1])),
+                ObservedRegion("s", _box([-1, "1.5"], [1, "3.5"])),
+            ],
+        )
     spec = load_problem(PROBLEMS[name])
-    return build_quotient(
-        spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
-    )
+    return spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
 
 
 def _random_formula(rng, atoms, depth):
@@ -244,9 +264,7 @@ def _random_formula(rng, atoms, depth):
 
 @pytest.mark.parametrize("name", ["toy_1d", "two_slice_2d", "three_d"])
 def test_labelling_matches_the_automaton_path(name):
-    quotient, partition = (
-        _quotient_3d() if name == "three_d" else _quotient_of(name)
-    )
+    quotient, partition = build_quotient(*_problem(name))
     atoms = ["pid"] + sorted(
         {o.label for o in quotient.observations.values() if o.is_region}
     )
@@ -277,3 +295,32 @@ def test_label_quotient_rejects_undeclared_atoms():
     quotient, _ = _quotient_1d()
     with pytest.raises(ValueError):
         label_quotient(quotient, parse_ltl("F r9"))
+
+
+@pytest.mark.parametrize(
+    "name", ["toy_1d", "two_slice_2d", "three_d", "rank_one"]
+)
+def test_quotient_is_an_exact_bisimulation(name):
+    """Every non-target block maps into its successor: it meets no
+    complement piece of the successor's preimage.  With the four audit
+    properties (the blocks partition each slice, each with one
+    observation) this proves the bisimulation property exactly, where
+    cross-validation only samples successors."""
+    system, *_, regions = problem = _problem(name)
+    _, partition = build_quotient(*problem)
+    audit = audit_partition(partition, regions)
+    assert all(audit.values()), audit
+    escapes = [
+        b.id
+        for b in partition.blocks.values()
+        if b.id != partition.d_block_id
+        and any(
+            not cells_disjoint(b.cell, piece)
+            for piece in complement(
+                preimage_linear(
+                    partition.blocks[b.successor].cell, system.a_matrix
+                )
+            ).cells
+        )
+    ]
+    assert escapes == []
