@@ -112,6 +112,9 @@ class Partition:
         self.d_block_id = d_block_id
         # the certified contraction rate, once build_quotient has one
         self.rho_star: Optional[Fraction] = None
+        # the sublevel cells P_0..P_N, once build_quotient has them: slice i
+        # holds the points of P_i outside P_{i-1}
+        self.levels: tuple[Cell, ...] = ()
         self._next_id = 1 + max(self.blocks, default=-1)
 
     def fresh_id(self) -> int:
@@ -126,11 +129,24 @@ class Partition:
         return sorted(self.blocks.values(), key=lambda b: (b.slice_index, b.id))
 
     def cell_of(self, x: Sequence) -> int:
+        """The block holding the point.  Slices are outer-closed and
+        inner-open, so the first level cell that holds the point names its
+        slice, and only that slice's blocks are tested; with no level cells
+        every block is."""
         p, m = scale_point(x, self.dim)
         if not contains_scaled(self.x_cell, p, m):
             raise ValueError("point lies outside the working set")
+        # the last level is X, which holds the point; -1: no level cells
+        i = next(
+            (k for k, c in enumerate(self.levels[:-1]) if contains_scaled(c, p, m)),
+            len(self.levels) - 1,
+        )
         for b in self.blocks.values():
-            if box_contains_scaled(b.cell, p, m) and contains_scaled(b.cell, p, m):
+            if (
+                (i < 0 or b.slice_index == i)
+                and box_contains_scaled(b.cell, p, m)
+                and contains_scaled(b.cell, p, m)
+            ):
                 return b.id
         raise AssertionError("partition does not cover the working set")
 
@@ -240,6 +256,10 @@ def initial_partition(
     blocks.append(d_block)
 
     def add(cell, observation, i):
+        # a block without a successor is a candidate at the next target,
+        # whose split computes its box anyway: computed first, the box
+        # certifies most of its rows
+        bounding_box(cell)
         blocks.append(Block(len(blocks), remove_redundancy(cell), observation, i))
 
     for i in range(1, len(slice_regions)):
@@ -290,6 +310,7 @@ def build_quotient(
     slice_regions = make_slices(lf, seq, (regions.x_cell, regions.d_cell))
     partition = initial_partition(x_cell, d_cell, regions, slice_regions)
     partition.rho_star = rho_star
+    partition.levels = tuple(sublevel_cell(lf, gamma) for gamma in seq.gammas)
 
     blocks = partition.blocks
     for i in range(seq.n_steps):
@@ -313,9 +334,11 @@ def build_quotient(
                 del blocks[b.id]
                 for pieces, successor in ((inside, tgt.id), (outside, None)):
                     for piece in pieces:
+                        if successor is None:  # a candidate again: see add
+                            bounding_box(piece)
                         nb = Block(
                             partition.fresh_id(),
-                            remove_redundancy(piece),
+                            remove_redundancy(piece, b.cell),
                             b.observation,
                             b.slice_index,
                             successor,

@@ -9,6 +9,13 @@ tolerances anywhere in this module.
 Both refinements cut with ``split(cell, region)``: the parts of a cell
 inside and outside a disjoint region, each intersection decided once.
 
+``remove_redundancy`` solves an emptiness LP only for rows that no exact
+certificate decides: on a non-empty cell, a row below its offset on a
+box of the cell is dropped, and a row that a ray from a strictly
+interior point meets first, and alone, is kept.  ``bounding_box`` reads
+the box of a cell of single-coordinate rows off its bounds, and solves
+2n LPs for any other cell.
+
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
 once by the positive lcm of its coordinates' denominators, and the test
@@ -71,11 +78,14 @@ def constraint(normal: Iterable, offset, strict: bool = False) -> Constraint:
 class Cell:
     """Intersection of strict-flagged halfspaces in R^dim.
 
-    Immutable after construction; emptiness, an interior sample and the
-    bounding box are computed lazily and cached.
+    Immutable after construction; emptiness, an interior sample, the
+    bounding box (with the points of the LPs that found it) and the
+    integer-scaled rows are computed lazily and cached.
     """
 
-    __slots__ = ("dim", "constraints", "_empty", "_sample", "_bbox", "_rows")
+    __slots__ = (
+        "dim", "constraints", "_empty", "_sample", "_bbox", "_box_points", "_rows"
+    )
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
         self.dim = dim
@@ -88,6 +98,7 @@ class Cell:
         self._empty: Optional[bool] = None
         self._sample: Optional[Vector] = None
         self._bbox = None
+        self._box_points = None
         self._rows = None
 
     def __repr__(self):
@@ -245,12 +256,10 @@ def _cut(pieces: list[Cell], bc: Cell, met: Optional[Cell] = None) -> list[Cell]
             out.append(piece)
             continue
         box, m = _scaled_box(bounding_box(piece))  # cached by the meet test
-        for (row, offset, strict), cc in zip(_int_rows(bc), comp):
+        for row, cc in zip(_int_rows(bc), comp):
             # piece meets bc, so only cc's negated row can fail on the
-            # whole box: when row.x stays at most the offset there (below
-            # it, for a strict row)
-            high, offset = _max_on_box(row, box), offset * m
-            if high is None or high > offset or (strict and high == offset):
+            # whole box: when the row holds on all of it
+            if not _holds_on_box(row, box, m, row[2]):
                 inter = intersect(piece, cc)
                 if not is_empty(inter):
                     out.append(inter)
@@ -272,16 +281,36 @@ def split(cell: Cell, region: Region) -> tuple[list[Cell], list[Cell]]:
     rc) for each region cell rc proven to meet it, in region order, and
     ``difference(Region((cell,)), region).cells``.  The pieces lie in the
     cell, so a region cell that misses it is not tested against them, and
-    the uncut cell is not tested again against the first one it meets."""
+    the uncut cell is not tested again against the first one it meets.
+    A non-empty cell on whose whole box every row of rc holds lies in rc:
+    the intersection is the cell, and takes its sample and box with no LP."""
     inside, outside = [], [cell]
     for rc in region.cells:
         if not boxes_overlap(cell, rc):
             continue
         inter = intersect(cell, rc)
+        if cell._empty is False and _inside_on_box(cell, rc):
+            inter._empty, inter._sample = False, cell._sample
+            inter._bbox, inter._box_points = cell._bbox, cell._box_points
         if not is_empty(inter):
             inside.append(inter)
             outside = _cut(outside, rc, met=cell)
     return inside, outside
+
+
+def _inside_on_box(cell: Cell, rc: Cell) -> bool:
+    """Whether every row of rc holds on the cell's whole box, so that the
+    cell lies in rc."""
+    box, m = _scaled_box(bounding_box(cell))
+    return all(_holds_on_box(row, box, m, row[2]) for row in _int_rows(rc))
+
+
+def _holds_on_box(row: tuple, box, m: int, strict: bool) -> bool:
+    """Whether the integer row (A, B, _) holds as A.x <= B, or as A.x < B
+    when strict, on the whole integer box with scale m (interval
+    arithmetic)."""
+    high, offset = _max_on_box(row[0], box), row[1] * m
+    return high is not None and (high < offset or (not strict and high == offset))
 
 
 def _scaled_box(box) -> tuple:
@@ -334,49 +363,160 @@ def empty_cell(dim: int) -> Cell:
     )
 
 
-def remove_redundancy(cell: Cell) -> Cell:
+def remove_redundancy(cell: Cell, outer: Optional[Cell] = None) -> Cell:
     """Drop constraints whose removal leaves the denoted set unchanged.
 
-    Solves one emptiness LP per distinct row.  The cached emptiness and
-    sample carry over, and so does the box of a cell known to be non-empty:
-    it is the box of the closure, which the dropped rows do not change.  An
-    empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5} loses y).
+    A greedy walks the distinct rows in order and drops each row whose
+    negation meets none of the rows still kept or not yet walked: one
+    emptiness LP per row that no certificate decides.  On a cell known to
+    be non-empty, two exact certificates on the integer rows decide rows
+    with no LP and leave every greedy decision as it is:
+
+    - box bound: a row whose maximum over a box of the closure (the cell's
+      cached box, else that of ``outer``, a cell known to contain it) is
+      below its offset is strictly slack on the closure.  It is redundant
+      in every row set that denotes the cell, and its presence changes no
+      other row's answer, so it is dropped before the greedy;
+    - ray shooting: when every row is strictly slack at p, the mean of the
+      points ``bounding_box`` kept from its LPs, the ray from p along the
+      normal of row j leaves the cell through the hyperplane of the row i
+      it reaches first.  If no other row is reached there, every other row
+      is strictly slack at that point, so i is a facet and the greedy keeps
+      it.  A tie (twin rows, scaled twins, flat cells) decides nothing.
+
+    The cached emptiness and sample carry over, and so do the box of a
+    cell known to be non-empty, its LP points and the integer rows kept:
+    it is the box of the closure, which the dropped rows do not change.
+    An empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5} loses
+    y).
     """
-    kept = list(dict.fromkeys(cell.constraints))
+    box = cell._bbox if cell._bbox is not None or outer is None else outer._bbox
+    ints = None
+    if cell._empty is False and box is not None:
+        scaled, m = _scaled_box(box)
+        ints = {
+            c: row
+            for c, row in zip(cell.constraints, _int_rows(cell))
+            if not _holds_on_box(row, scaled, m, True)
+        }
+        kept, rows = list(ints), list(ints.values())
+    else:
+        kept = list(dict.fromkeys(cell.constraints))
+        rows = [None] * len(kept)
+    if ints is not None and cell._box_points is not None and box is cell._bbox:
+        facet = _facets(rows, cell._box_points)
+    else:
+        facet = [False] * len(kept)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        probe = Cell(cell.dim, others + [kept[i].negated()])
-        if is_empty(probe):
-            kept.pop(i)
-        else:
-            i += 1
+        if not facet[i]:
+            others = kept[:i] + kept[i + 1 :]
+            if is_empty(Cell(cell.dim, others + [kept[i].negated()])):
+                del kept[i], rows[i], facet[i]
+                continue
+        i += 1
     out = Cell(cell.dim, kept)
     out._empty = cell._empty
     out._sample = cell._sample
-    out._bbox = cell._bbox if cell._empty is False else None
+    if cell._empty is False:
+        out._bbox, out._box_points = cell._bbox, cell._box_points
+        if ints is not None:
+            out._rows = tuple(rows)
     return out
 
 
 def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fraction]], ...]:
-    """Per-coordinate (min, max) of the closure; None marks unbounded."""
+    """Per-coordinate (min, max) of the closure; None marks unbounded, and
+    an empty closure gets (0, -1) in every coordinate.
+
+    A cell whose every row bounds a single coordinate reads the box off
+    its tightest bounds.  Any other cell solves 2n LPs over the closure
+    and keeps their points for the ray shooting of ``remove_redundancy``.
+    """
     if cell._bbox is None:
-        rows = [list(c.normal) for c in cell.constraints]
-        rhs = [c.offset for c in cell.constraints]
-        box = []
-        for j in range(cell.dim):
-            bounds = []
-            for sign in (_ONE, -_ONE):
-                obj = [_ZERO] * cell.dim
-                obj[j] = sign
-                res = lp.maximize(obj, rows, rhs)
-                if res.status == lp.INFEASIBLE:
-                    cell._bbox = tuple((_ZERO, -_ONE) for _ in range(cell.dim))
-                    return cell._bbox
-                bounds.append(None if res.status == lp.UNBOUNDED else sign * res.value)
-            box.append((bounds[1], bounds[0]))
-        cell._bbox = tuple(box)
+        box = _axis_box(cell)
+        cell._bbox = _lp_box(cell) if box is None else box
     return cell._bbox
+
+
+def _axis_box(cell: Cell):
+    """The box of a cell whose every row bounds one coordinate; None for
+    any other cell."""
+    lo, hi = [None] * cell.dim, [None] * cell.dim
+    for c in cell.constraints:
+        nonzero = [k for k, a in enumerate(c.normal) if a]
+        if len(nonzero) != 1:
+            return None
+        j = nonzero[0]
+        bound = c.offset / c.normal[j]
+        if c.normal[j] > 0:
+            if hi[j] is None or bound < hi[j]:
+                hi[j] = bound
+        elif lo[j] is None or bound > lo[j]:
+            lo[j] = bound
+    if any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
+        return _empty_box(cell.dim)
+    return tuple(zip(lo, hi))
+
+
+def _empty_box(dim: int):
+    return tuple((_ZERO, -_ONE) for _ in range(dim))
+
+
+def _lp_box(cell: Cell):
+    """The box from 2n LPs over the closure; their points (optimal, or
+    feasible along an unbounded side) go to ``cell._box_points``."""
+    rows = [list(c.normal) for c in cell.constraints]
+    rhs = [c.offset for c in cell.constraints]
+    box, points = [], []
+    for j in range(cell.dim):
+        bounds = []
+        for sign in (_ONE, -_ONE):
+            obj = [_ZERO] * cell.dim
+            obj[j] = sign
+            res = lp.maximize(obj, rows, rhs)
+            if res.status == lp.INFEASIBLE:
+                return _empty_box(cell.dim)
+            bounds.append(None if res.status == lp.UNBOUNDED else sign * res.value)
+            points.append(res.point)
+        box.append((bounds[1], bounds[0]))
+    cell._box_points = tuple(points)
+    return tuple(box)
+
+
+def _facets(rows: list, points) -> list[bool]:
+    """For each integer row (A, B, strict), whether ray shooting from the
+    mean p of the points proves it a facet of the cell the rows denote.
+
+    Every row must be strictly slack at p, or nothing is proven.  The ray
+    p + s.A_j meets row i at s_i = slack_i / (A_i.A_j) when A_i.A_j > 0,
+    and row j itself is always met.  The row met first is proven when no
+    other row is met at the same s.  Slacks and products are integers
+    (the rows and p are scaled by positive numbers, which scales every
+    s_i of one ray alike), and two hits are compared by cross-multiplying.
+    """
+    facet = [False] * len(rows)
+    p, m = _scaled(tuple(sum(col) / len(points) for col in zip(*points)))
+    slack = [b * m - sum(map(mul, a, p)) for a, b, _ in rows]
+    if any(s <= 0 for s in slack):
+        return facet
+    for aj, _, _ in rows:
+        first, first_dot, tie = None, 0, False
+        for i, (ai, _, _) in enumerate(rows):
+            dot = sum(map(mul, ai, aj))
+            if dot <= 0:
+                continue
+            if first is None:
+                first, first_dot = i, dot
+                continue
+            lhs, rhs = slack[i] * first_dot, slack[first] * dot
+            if lhs < rhs:
+                first, first_dot, tie = i, dot, False
+            elif lhs == rhs:
+                tie = True
+        if not tie:
+            facet[first] = True
+    return facet
 
 
 def boxes_overlap(a: Cell, b: Cell) -> bool:

@@ -40,6 +40,8 @@ def run_pipeline(
     svg: bool = False,
     seed: int = 0,
 ) -> PipelineResult:
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples is negative: {samples}")
     lines: list[str] = []
     t0 = time.perf_counter()
 

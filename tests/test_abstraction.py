@@ -270,6 +270,13 @@ def test_cell_of_and_observation_of_match_a_linear_scan(small2d):
     ]
     points = grid + _facet_points(cells)
     assert _check_point_location(partition, regions, points) > 1000
+    # with no level cells, every block is tested
+    levels, partition.levels = partition.levels, ()
+    try:
+        assert len(levels) == 3
+        assert _check_point_location(partition, regions, points) > 1000
+    finally:
+        partition.levels = levels
 
 
 def test_cell_of_matches_a_linear_scan_on_the_paper_fixture(paper_spec, paper_build):

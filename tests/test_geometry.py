@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polybisim import lp
+from polybisim import geometry, lp
 from polybisim.geometry import (
     Cell,
     Constraint,
@@ -612,3 +612,190 @@ def test_split_decides_each_intersection_once(lp_calls):
     assert len(outside) == 2
     want_in, want_out = _split_reference(cell, region)
     assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+
+
+def _greedy_reference(cell):
+    """remove_redundancy's rows as the plain greedy decides them: one
+    emptiness LP per distinct row, in order."""
+    kept = list(dict.fromkeys(cell.constraints))
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if is_empty(Cell(cell.dim, others + [kept[i].negated()])):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def _unit(n, j, sign=1):
+    return [sign * int(k == j) for k in range(n)]
+
+
+def _redundancy_case(rng, n):
+    """(cell, kinds): a random cell with the rows that certificates must
+    leave to the LP, and the names of the kinds it holds."""
+    kinds = set()
+    lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
+    rows = []
+    if rng.random() < 0.8:
+        for j in range(n):
+            rows.append(constraint(_unit(n, j), hi, rng.random() < 0.3))
+            rows.append(constraint(_unit(n, j, -1), -lo, rng.random() < 0.3))
+    else:
+        kinds.add("unbounded")
+    for _ in range(rng.randrange(1, 4)):
+        normal = [rng.randrange(-2, 3) for _ in range(n)]
+        if not any(normal):
+            normal[rng.randrange(n)] = 1
+        rows.append(constraint(normal, rng.randrange(-2, 6), rng.random() < 0.3))
+    for _ in range(rng.randrange(0, 3)):
+        c = rng.choice(rows)
+        kind = rng.randrange(4)
+        if kind == 0:  # a scaled twin
+            k = rng.choice([F(2), F("1/2"), F(3)])
+            rows.append(Constraint(tuple(k * a for a in c.normal), k * c.offset, c.strict))
+            kinds.add("scaled twin")
+        elif kind == 1:  # a strict/non-strict twin
+            rows.append(Constraint(c.normal, c.offset, not c.strict))
+            kinds.add("strict twin")
+        elif kind == 2:  # the reverse row: a flat cell when both hold
+            rows.append(Constraint(tuple(-a for a in c.normal), -c.offset, False))
+            kinds.add("reverse")
+        else:
+            rows.append(c)
+            kinds.add("duplicate")
+    if n > 1 and rng.random() < 0.4:
+        # a row through a corner of the box [lo, hi]^n whose hyperplane
+        # meets the box only there: strict, it removes that corner alone
+        signs = [rng.choice([-1, 1]) for _ in range(n)]
+        corner = sum(s * (hi if s > 0 else lo) for s in signs)
+        rows.append(constraint(signs, corner, rng.random() < 0.7))
+        kinds.add("corner")
+    rng.shuffle(rows)
+    return Cell(n, rows), kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
+    rng = random.Random(900 + n)
+    seen = Counter()
+    saved = Counter()
+    for _ in range(150):
+        cell, kinds = _redundancy_case(rng, n)
+        want = _greedy_reference(cell)
+        greedy_lps = len(dict.fromkeys(cell.constraints))
+        # the cell as a caller holds it: emptiness unknown, known (the
+        # certificates need a non-empty cell), with its own box (both
+        # certificates), or inside a cell with a box (the box bound only)
+        state = rng.choice(["unknown", "known", "own box", "outer box"])
+        outer = None
+        if state != "unknown":
+            seen["empty" if is_empty(cell) else "non-empty"] += 1
+        if state == "own box":
+            bounding_box(cell)
+        elif state == "outer box":
+            outer = Cell(n, cell.constraints[: rng.randrange(len(cell.constraints) + 1)])
+            bounding_box(outer)
+        lp_calls.clear()
+        got = remove_redundancy(cell, outer)
+        assert list(got.constraints) == want
+        assert len(lp_calls) <= greedy_lps
+        saved[state] += greedy_lps - len(lp_calls)
+        seen[state] += 1
+        seen.update(kinds)
+        if cell._empty is False:
+            fresh = Cell(n, got.constraints)
+            assert bounding_box(got) == bounding_box(fresh)
+            for p in (sample_point(cell),) + tuple(
+                tuple(Fraction(rng.randrange(-16, 17), 4) for _ in range(n)) for _ in range(10)
+            ):
+                assert contains_point(got, p) is contains_point(fresh, p)
+    kinds = ["unbounded", "scaled twin", "strict twin", "reverse", "duplicate", "empty"]
+    kinds += ["known", "own box", "outer box", "unknown"] + ["corner"] * (n > 1)
+    assert min(seen[k] for k in kinds) >= 5, seen
+    # the certificates need a non-empty cell and a box
+    assert saved["unknown"] == saved["known"] == 0
+    assert min(saved["own box"], saved["outer box"]) >= 15, saved
+
+
+def test_remove_redundancy_lp_count(lp_calls):
+    # the diamond |x| + |y| <= 2 with a row beyond its box, a duplicate, a
+    # scaled twin of x + y <= 2, and x + 2y <= 4, which touches it at (0, 2)
+    diamond = [constraint([a, b], 2) for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    twin, touch = constraint([2, 2], 4), constraint([1, 2], 4)
+    rows = diamond[:1] + [constraint([1, 0], 3)] + diamond[1:] + [diamond[0], twin, touch]
+    cell = Cell(2, rows)
+    assert not is_empty(cell)
+    lp_calls.clear()
+    assert bounding_box(cell) == ((-2, 2), (-2, 2))
+    assert len(lp_calls) == 4  # the box's optimal points are its 4 corners
+    lp_calls.clear()
+    got = remove_redundancy(cell)
+    # x <= 3 is below its offset on the box: no LP.  The rays from the
+    # diamond's centre along x - y, -x + y and -x - y each meet their own
+    # row alone: no LP.  Along x + y the row ties with its twin, so x + y
+    # (dropped, the twin is there), the twin (then kept) and x + 2y
+    # (dropped) each take one LP, where the plain greedy takes seven
+    assert len(lp_calls) == 3
+    assert list(got.constraints) == diamond[1:] + [twin]
+    assert list(got.constraints) == _greedy_reference(cell)
+    # inside a cell with a box the box bound alone applies: one LP per row
+    # that it does not drop, none for the box
+    piece = Cell(2, rows)
+    assert not is_empty(piece)
+    lp_calls.clear()
+    got = remove_redundancy(piece, cell)
+    assert len(lp_calls) == 6
+    assert list(got.constraints) == diamond[1:] + [twin]
+    assert piece._bbox is None and got._bbox is None
+
+
+def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
+    cell = box2(1, 2)
+    holds = box2(0, 2)  # holds on the whole box [1, 2]^2
+    touches = box2(0, 2, strict=True)  # fails on its faces x = 2, y = 2
+    for rc in (holds, touches):
+        region = Region((box2(5, 6), rc))
+        for c in (cell,) + region.cells:
+            bounding_box(c)
+        assert not is_empty(cell)
+        lp_calls.clear()
+        inside, outside = split(cell, region)
+        lps = len(lp_calls)
+        if rc is holds:
+            # the intersection is the cell: its sample and box, no LP
+            assert lps == 0 and outside == []
+            assert sample_point(inside[0]) == sample_point(cell)
+            assert bounding_box(inside[0]) == bounding_box(cell)
+        else:
+            assert lps >= 1 and len(outside) == 2
+        want_in, want_out = _split_reference(cell, region)
+        assert [c.constraints for c in inside] == [c.constraints for c in want_in]
+        assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axis_aligned_box_needs_no_lp(n, lp_calls):
+    rng = random.Random(300 + n)
+    seen = Counter()
+    for _ in range(120):
+        rows = []
+        for _ in range(rng.randrange(0, 3 * n + 1)):
+            j = rng.randrange(n)
+            a = rng.choice([-3, -2, -1, F("-1/2"), F("1/2"), 1, 2, 3])
+            offset = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+            rows.append(constraint([a * u for u in _unit(n, j)], offset, rng.random() < 0.4))
+            if rng.random() < 0.2:  # the same bound again
+                rows.append(rows[-1])
+        cell = Cell(n, rows)
+        lp_calls.clear()
+        box = bounding_box(cell)
+        assert lp_calls == []
+        assert box == geometry._lp_box(Cell(n, rows))
+        empty_closure = box == tuple((0, -1) for _ in range(n))
+        seen["empty closure" if empty_closure else "box"] += 1
+        seen["open side"] += any(v is None for side in box for v in side)
+        seen["strict"] += any(c.strict for c in rows)
+        seen["repeated"] += len(set(rows)) < len(rows)
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen

@@ -196,6 +196,13 @@ def test_malformed_shapes(edit):
     _expect_code(doc, MALFORMED)
 
 
+def test_run_pipeline_rejects_a_negative_sample_count():
+    spec = parse_problem(base_doc())
+    for samples in (-1, -3):
+        with pytest.raises(ValueError, match="negative"):
+            run_pipeline(spec, samples=samples)
+
+
 def one_slice_doc():
     doc = base_doc()
     doc["gamma_X"] = "2"
