@@ -1,6 +1,7 @@
 """Finite bisimulation quotients of stable linear systems via polyhedral
 Lyapunov sublevel sets, with LTL verification over polytopic regions."""
 
+from .errors import InternalError
 from .geometry import (
     Cell,
     Constraint,

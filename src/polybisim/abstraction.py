@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import InternalError
 from .geometry import (
     Cell,
     Constraint,
@@ -148,7 +149,7 @@ class Partition:
                 and contains_scaled(b.cell, p, m)
             ):
                 return b.id
-        raise AssertionError("partition does not cover the working set")
+        raise InternalError("partition does not cover the working set")
 
 
 @dataclass(frozen=True)
@@ -256,10 +257,6 @@ def initial_partition(
     blocks.append(d_block)
 
     def add(cell, observation, i):
-        # a block without a successor is a candidate at the next target,
-        # whose split computes its box anyway: computed first, the box
-        # certifies most of its rows
-        bounding_box(cell)
         blocks.append(Block(len(blocks), remove_redundancy(cell), observation, i))
 
     for i in range(1, len(slice_regions)):
@@ -280,8 +277,10 @@ def find_pre(target: Region, sys: LinearSystem) -> Region:
     """The states whose one-step image lies in target: the non-empty
     preimage of each target cell, as it is.  The refinement cuts blocks
     that already lie in X \\ D, so the preimage is not cut by it.  When A
-    is invertible x -> Ax is a bijection, and the preimage of a
-    redundancy-free cell is redundancy-free."""
+    is invertible x -> Ax is a bijection: the preimage of a
+    redundancy-free cell is redundancy-free, and it carries the cell's
+    vertices mapped by A^-1, which prove it non-empty with no LP.  A
+    singular A keeps the emptiness LP."""
     return Region.of(preimage_linear(tc, sys.a_matrix) for tc in target.cells)
 
 
@@ -334,11 +333,9 @@ def build_quotient(
                 del blocks[b.id]
                 for pieces, successor in ((inside, tgt.id), (outside, None)):
                     for piece in pieces:
-                        if successor is None:  # a candidate again: see add
-                            bounding_box(piece)
                         nb = Block(
                             partition.fresh_id(),
-                            remove_redundancy(piece, b.cell),
+                            remove_redundancy(piece),
                             b.observation,
                             b.slice_index,
                             successor,
@@ -347,7 +344,7 @@ def build_quotient(
 
     missing = [b.id for b in blocks.values() if b.successor is None]
     if missing:
-        raise AssertionError(
+        raise InternalError(
             f"abstraction loop left {len(missing)} blocks without successor"
         )
     ordered = partition.ordered_blocks()
@@ -502,7 +499,7 @@ def quotient_word(
         if state == quotient.target_state:
             return tuple(word)
         state = quotient.transitions[state]
-    raise AssertionError("target state not reached within max_len steps")
+    raise InternalError("target state not reached within max_len steps")
 
 
 def _format_fraction(x: Fraction) -> str:

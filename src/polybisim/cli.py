@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success (``--help`` too), 1 input error (a malformed
 command line or problem file), 2 invariant violation (an uncertified
 contraction rate or a failed cross-validation), 3 internal error (a broken
-internal invariant, raised as AssertionError).
+internal invariant, raised as ``InternalError``, or any other unexpected
+exception).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     except ContractionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except Exception as exc:  # AssertionError: a broken internal invariant
+    except Exception as exc:  # InternalError: a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

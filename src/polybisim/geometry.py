@@ -9,29 +9,54 @@ tolerances anywhere in this module.
 Both refinements cut with ``split(cell, region)``: the parts of a cell
 inside and outside a disjoint region, each intersection decided once.
 
-``remove_redundancy`` solves an emptiness LP only for rows that no exact
-certificate decides: on a non-empty cell, a row below its offset on a
-box of the cell is dropped, and a row that a ray from a strictly
-interior point meets first, and alone, is kept.  ``bounding_box`` reads
-the box of a cell of single-coordinate rows off its bounds, and solves
-2n LPs for any other cell.
+A bounded cell caches the exact vertices of its relaxed closure R (its
+rows with every strict flag dropped) and, for each vertex, the bitmask of
+the rows tight there.  A derived cell gets them from the cell it comes
+from, never by a fresh enumeration: ``intersect`` clips one operand's
+vertices by the other operand's rows, one double-description step per row
+(Fukuda & Prodon 1996), ``preimage_linear`` maps them by A^-1 when A is
+invertible, and ``remove_redundancy`` hands them on.  A cell with no such
+source clips the corners of a parallelotope that contains it: the one its
+rows bound when they bound it from both sides along n independent
+directions (a box, a sublevel set ||Lx||_inf <= g), or else its bounding
+box, once that is known.  From the vertices, with no LP:
+
+- the bounding box is their minimum and maximum per coordinate;
+- the cell is empty iff R has no vertex or a strict row is tight at every
+  vertex; otherwise every strict row is slack at some vertex, so the
+  vertices' centroid is a point of the cell and becomes its sample;
+- on a full-dimensional R, ``remove_redundancy`` drops a row that is slack
+  at every vertex and a non-strict row that is not a facet, and keeps a
+  facet (a row tight at n affinely independent vertices) that has no
+  positive-multiple twin.
+
+The rest takes an LP as before: the emptiness and box of a cell with no
+vertices (an unbounded cell, or one with no source that has them, no
+opposite rows and no known box), and in ``remove_redundancy`` the
+greedy's emptiness LP for strict rows that touch R on a lower face, for
+twins, and for every row when R is flat or the cell has no vertices.
 
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
 once by the positive lcm of its coordinates' denominators, and the test
 compares Python ints.  Both sides are scaled by positive numbers, so the
-answer is the rational one, still exact and with no floats.
+answer is the rational one, still exact and with no floats.  Vertices are
+kept the same way, as (X, M, Z): the point X / M with M > 0, and the
+bitmask Z of the rows tight there.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import lp
+from .errors import InternalError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -79,12 +104,14 @@ class Cell:
     """Intersection of strict-flagged halfspaces in R^dim.
 
     Immutable after construction; emptiness, an interior sample, the
-    bounding box (with the points of the LPs that found it) and the
-    integer-scaled rows are computed lazily and cached.
+    bounding box, the integer-scaled rows and the vertices are computed
+    lazily and cached.  ``_src`` names the cells a derived cell's
+    vertices come from until they are computed.
     """
 
     __slots__ = (
-        "dim", "constraints", "_empty", "_sample", "_bbox", "_box_points", "_rows"
+        "dim", "constraints", "_empty", "_sample", "_bbox", "_rows", "_verts",
+        "_src", "_pieces",
     )
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
@@ -98,18 +125,14 @@ class Cell:
         self._empty: Optional[bool] = None
         self._sample: Optional[Vector] = None
         self._bbox = None
-        self._box_points = None
         self._rows = None
+        # None: not computed yet; False: none (the closure is unbounded)
+        self._verts = None
+        self._src = None
+        self._pieces = None
 
     def __repr__(self):
         return f"Cell(dim={self.dim}, k={len(self.constraints)})"
-
-    def closure(self) -> "Cell":
-        """Same constraints with all strict flags dropped."""
-        return Cell(
-            self.dim,
-            [Constraint(c.normal, c.offset, False) for c in self.constraints],
-        )
 
 
 @dataclass(frozen=True)
@@ -154,13 +177,27 @@ def _slack_lp(cell: Cell) -> lp.LPResult:
 
 
 def is_empty(cell: Cell) -> bool:
+    """Decided from the vertices when the cell has them: empty iff there
+    are none or a strict row is tight at all of them, with their centroid
+    as the sample otherwise.  A cell without vertices solves an LP."""
     if cell._empty is None:
-        res = _slack_lp(cell)
-        if res.status == lp.INFEASIBLE or res.value <= 0:
-            cell._empty = True
+        verts = _vertices(cell)
+        if verts is None:
+            res = _slack_lp(cell)
+            if res.status == lp.INFEASIBLE or res.value <= 0:
+                cell._empty = True
+            else:
+                cell._empty = False
+                cell._sample = res.point[: cell.dim]
         else:
-            cell._empty = False
-            cell._sample = res.point[: cell.dim]
+            tight = -1
+            for _, _, z in verts:
+                tight &= z
+            cell._empty = not verts or any(
+                c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
+            )
+            if not cell._empty:
+                cell._sample = _centroid(verts, cell.dim)
     return cell._empty
 
 
@@ -224,21 +261,36 @@ def contains_point(cell: Cell, point: Sequence) -> bool:
 
 
 def intersect(a: Cell, b: Cell) -> Cell:
+    """The cell of a's rows followed by b's; its vertices, when needed,
+    clip those of an operand that has them."""
     if a.dim != b.dim:
         raise ValueError("cannot intersect cells of different dimensions")
-    return Cell(a.dim, a.constraints + b.constraints)
+    out = Cell(a.dim, a.constraints + b.constraints)
+    out._src = (a, b)
+    if a._rows is not None and b._rows is not None:
+        out._rows = a._rows + b._rows
+    return out
 
 
-def _complement_pieces(cell: Cell) -> list[Cell]:
+def _complement_pieces(cell: Cell) -> tuple[Cell, ...]:
     """Piece i satisfies rows 0..i-1 and violates row i, so the pieces are
-    pairwise disjoint by construction; none is proven non-empty."""
-    rows = cell.constraints
-    return [Cell(cell.dim, rows[:i] + (c.negated(),)) for i, c in enumerate(rows)]
+    pairwise disjoint by construction; none is proven non-empty.  Each
+    takes its integer rows from the cell's; cached on the cell."""
+    if cell._pieces is None:
+        rows, ints = cell.constraints, _int_rows(cell)
+        pieces = []
+        for i, c in enumerate(rows):
+            piece = Cell(cell.dim, rows[:i] + (c.negated(),))
+            a, b, strict = ints[i]
+            piece._rows = ints[:i] + ((tuple(-v for v in a), -b, not strict),)
+            pieces.append(piece)
+        cell._pieces = tuple(pieces)
+    return cell._pieces
 
 
 def complement(cell: Cell) -> Region:
     """Disjoint decomposition of the complement: the complement pieces,
-    each proven non-empty by one emptiness LP."""
+    each proven non-empty."""
     return Region.of(_complement_pieces(cell))
 
 
@@ -246,23 +298,17 @@ def _cut(pieces: list[Cell], bc: Cell, met: Optional[Cell] = None) -> list[Cell]
     """The pieces minus bc.  A piece that misses bc stays as it is; one
     that meets it is cut by bc's complement pieces, not proven non-empty
     first, keeping the intersections proven non-empty.  ``met`` is cut with
-    no meet test: it is known to meet bc, or only its pieces are wanted.
-    An intersection with a row that fails on the piece's whole bounding box
-    (interval arithmetic) is empty with no LP."""
+    no meet test: it is known to meet bc, or only its pieces are wanted."""
     comp = _complement_pieces(bc)
     out = []
     for piece in pieces:
         if piece is not met and cells_disjoint(piece, bc):
             out.append(piece)
             continue
-        box, m = _scaled_box(bounding_box(piece))  # cached by the meet test
-        for row, cc in zip(_int_rows(bc), comp):
-            # piece meets bc, so only cc's negated row can fail on the
-            # whole box: when the row holds on all of it
-            if not _holds_on_box(row, box, m, row[2]):
-                inter = intersect(piece, cc)
-                if not is_empty(inter):
-                    out.append(inter)
+        for cc in comp:
+            inter = intersect(piece, cc)
+            if not is_empty(inter):
+                out.append(inter)
     return out
 
 
@@ -282,61 +328,37 @@ def split(cell: Cell, region: Region) -> tuple[list[Cell], list[Cell]]:
     ``difference(Region((cell,)), region).cells``.  The pieces lie in the
     cell, so a region cell that misses it is not tested against them, and
     the uncut cell is not tested again against the first one it meets.
-    A non-empty cell on whose whole box every row of rc holds lies in rc:
-    the intersection is the cell, and takes its sample and box with no LP."""
+    A cell that lies in rc has nothing outside it, and meets no other
+    region cell, so it is not cut."""
     inside, outside = [], [cell]
     for rc in region.cells:
         if not boxes_overlap(cell, rc):
             continue
         inter = intersect(cell, rc)
-        if cell._empty is False and _inside_on_box(cell, rc):
-            inter._empty, inter._sample = False, cell._sample
-            inter._bbox, inter._box_points = cell._bbox, cell._box_points
         if not is_empty(inter):
             inside.append(inter)
-            outside = _cut(outside, rc, met=cell)
+            outside = [] if _inside(cell, rc) else _cut(outside, rc, met=cell)
     return inside, outside
 
 
-def _inside_on_box(cell: Cell, rc: Cell) -> bool:
-    """Whether every row of rc holds on the cell's whole box, so that the
-    cell lies in rc."""
-    box, m = _scaled_box(bounding_box(cell))
-    return all(_holds_on_box(row, box, m, row[2]) for row in _int_rows(rc))
-
-
-def _holds_on_box(row: tuple, box, m: int, strict: bool) -> bool:
-    """Whether the integer row (A, B, _) holds as A.x <= B, or as A.x < B
-    when strict, on the whole integer box with scale m (interval
-    arithmetic)."""
-    high, offset = _max_on_box(row[0], box), row[1] * m
-    return high is not None and (high < offset or (not strict and high == offset))
-
-
-def _scaled_box(box) -> tuple:
-    """The box with its ends times the lcm m > 0 of their denominators,
-    and m."""
-    m = lcm(*(v.denominator for side in box for v in side if v is not None))
-    return tuple(
-        tuple(None if v is None else v.numerator * (m // v.denominator) for v in side)
-        for side in box
-    ), m
-
-
-def _max_on_box(row: tuple[int, ...], box) -> Optional[int]:
-    """The maximum of row.x over an integer box; None when unbounded."""
-    high = 0
-    for a, (lo, hi) in zip(row, box):
-        if a:
-            end = hi if a > 0 else lo
-            if end is None:
-                return None
-            high += a * end
-    return high
+def _inside(cell: Cell, other: Cell) -> bool:
+    """Whether the cell lies in the other one by its vertices: every row of
+    the other holds at every vertex, strictly when strict.  False decides
+    nothing, and so does a cell with no vertices."""
+    verts = _vertices(cell)
+    if verts is None:
+        return False
+    for a, b, strict in _int_rows(other):
+        for x, m, _ in verts:
+            s = b * m - sum(map(mul, a, x))
+            if s < 0 or (strict and s == 0):
+                return False
+    return True
 
 
 def preimage_linear(cell: Cell, a_matrix: Matrix) -> Cell:
-    """The set {x : A x in cell}; each normal a becomes A^T a."""
+    """The set {x : A x in cell}; each normal a becomes A^T a.  When A is
+    invertible, the cell's vertices mapped by A^-1 are the preimage's."""
     n = cell.dim
     if len(a_matrix) != n or any(len(r) != n for r in a_matrix):
         raise ValueError("matrix shape does not match cell dimension")
@@ -352,7 +374,9 @@ def preimage_linear(cell: Cell, a_matrix: Matrix) -> Cell:
                 return empty_cell(n)
             continue
         out.append(Constraint(new_normal, c.offset, c.strict))
-    return Cell(n, out)
+    pre = Cell(n, out)
+    pre._src = (cell, a_matrix)
+    return pre
 
 
 def empty_cell(dim: int) -> Cell:
@@ -363,66 +387,86 @@ def empty_cell(dim: int) -> Cell:
     )
 
 
-def remove_redundancy(cell: Cell, outer: Optional[Cell] = None) -> Cell:
+def remove_redundancy(cell: Cell) -> Cell:
     """Drop constraints whose removal leaves the denoted set unchanged.
 
     A greedy walks the distinct rows in order and drops each row whose
     negation meets none of the rows still kept or not yet walked: one
-    emptiness LP per row that no certificate decides.  On a cell known to
-    be non-empty, two exact certificates on the integer rows decide rows
-    with no LP and leave every greedy decision as it is:
+    emptiness LP per row that the vertices do not decide.  On a cell whose
+    relaxed closure R is full-dimensional (so the cell is non-empty and R
+    is its closure) the vertices decide, before the greedy and leaving
+    every greedy decision as it is:
 
-    - box bound: a row whose maximum over a box of the closure (the cell's
-      cached box, else that of ``outer``, a cell known to contain it) is
-      below its offset is strictly slack on the closure.  It is redundant
-      in every row set that denotes the cell, and its presence changes no
-      other row's answer, so it is dropped before the greedy;
-    - ray shooting: when every row is strictly slack at p, the mean of the
-      points ``bounding_box`` kept from its LPs, the ray from p along the
-      normal of row j leaves the cell through the hyperplane of the row i
-      it reaches first.  If no other row is reached there, every other row
-      is strictly slack at that point, so i is a facet and the greedy keeps
-      it.  A tie (twin rows, scaled twins, flat cells) decides nothing.
+    - a row slack at every vertex is slack on R: dropped;
+    - a row tight at n affinely independent vertices is a facet of R.
+      With no positive-multiple twin (same hyperplane and side, either
+      strictness), every other row is slack just beyond the facet's
+      relative interior, so the greedy keeps it: kept;
+    - a non-strict row that is not a facet leaves R, and so the cell,
+      unchanged when it goes, with every facet still present: dropped.
 
-    The cached emptiness and sample carry over, and so do the box of a
-    cell known to be non-empty, its LP points and the integer rows kept:
-    it is the box of the closure, which the dropped rows do not change.
-    An empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5} loses
-    y).
+    Strict rows that touch R on a lower face, and twins, take the LP.
+
+    The cached emptiness and sample carry over.  A non-empty cell's R is
+    its closure whichever rows denote it, so its box, vertices (with their
+    bitmasks remapped to the kept rows) and kept integer rows carry over
+    too.  An empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5}
+    loses y).
     """
-    box = cell._bbox if cell._bbox is not None or outer is None else outer._bbox
-    ints = None
-    if cell._empty is False and box is not None:
-        scaled, m = _scaled_box(box)
-        ints = {
-            c: row
-            for c, row in zip(cell.constraints, _int_rows(cell))
-            if not _holds_on_box(row, scaled, m, True)
-        }
-        kept, rows = list(ints), list(ints.values())
-    else:
-        kept = list(dict.fromkeys(cell.constraints))
-        rows = [None] * len(kept)
-    if ints is not None and cell._box_points is not None and box is cell._bbox:
-        facet = _facets(rows, cell._box_points)
-    else:
-        facet = [False] * len(kept)
-    i = 0
-    while i < len(kept):
-        if not facet[i]:
-            others = kept[:i] + kept[i + 1 :]
-            if is_empty(Cell(cell.dim, others + [kept[i].negated()])):
-                del kept[i], rows[i], facet[i]
+    n = cell.dim
+    first: dict[Constraint, int] = {}
+    for i, c in enumerate(cell.constraints):
+        first.setdefault(c, i)
+    kept = list(first.values())  # the distinct rows, by index
+    keep: list[Optional[bool]] = [None] * len(kept)  # None: the LP decides
+    rows = cell.constraints
+    verts = _vertices(cell)
+    if verts and not is_empty(cell) and _spans(verts, n):
+        ints = _int_rows(cell)
+        keys = [_primitive(ints[i]) for i in kept]
+        twins = Counter(keys)
+        for k, i in enumerate(kept):
+            tight = [v for v in verts if v[2] >> i & 1]
+            if not tight:
+                keep[k] = False
+            elif _spans(tight, n - 1):
+                if twins[keys[k]] == 1:
+                    keep[k] = True
+            elif not rows[i].strict:
+                keep[k] = False
+        kept = [i for i, d in zip(kept, keep) if d is not False]
+        keep = [d for d in keep if d is not False]
+    k = 0
+    while k < len(kept):
+        if keep[k] is None:
+            others = [rows[i] for i in kept[:k] + kept[k + 1 :]]
+            if is_empty(Cell(n, others + [rows[kept[k]].negated()])):
+                del kept[k], keep[k]
                 continue
-        i += 1
-    out = Cell(cell.dim, kept)
+        k += 1
+    out = Cell(n, [rows[i] for i in kept])
     out._empty = cell._empty
     out._sample = cell._sample
     if cell._empty is False:
-        out._bbox, out._box_points = cell._bbox, cell._box_points
-        if ints is not None:
-            out._rows = tuple(rows)
+        out._bbox = cell._bbox
+        if verts is not None:
+            out._verts = tuple((x, m, _remap(z, kept)) for x, m, z in verts)
+        if cell._rows is not None:
+            out._rows = tuple(cell._rows[i] for i in kept)
     return out
+
+
+def _primitive(row: tuple) -> tuple:
+    """The integer row (A, B, _) divided by the gcd of its entries: equal
+    for positive multiples of one halfspace, whatever their strictness."""
+    a, b, _ = row
+    g = gcd(*a, b)
+    return tuple(v // g for v in a), b // g
+
+
+def _remap(z: int, index: list[int]) -> int:
+    """The bitmask z over the rows index[0], index[1], ... as bits 0, 1, ..."""
+    return sum(1 << k for k, i in enumerate(index) if z >> i & 1)
 
 
 def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fraction]], ...]:
@@ -430,12 +474,15 @@ def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fractio
     an empty closure gets (0, -1) in every coordinate.
 
     A cell whose every row bounds a single coordinate reads the box off
-    its tightest bounds.  Any other cell solves 2n LPs over the closure
-    and keeps their points for the ray shooting of ``remove_redundancy``.
+    its tightest bounds, a cell with vertices takes their minimum and
+    maximum, and any other cell solves 2n LPs over the closure.
     """
     if cell._bbox is None:
         box = _axis_box(cell)
-        cell._bbox = _lp_box(cell) if box is None else box
+        if box is None:
+            verts = _vertices(cell)
+            box = _lp_box(cell) if verts is None else _vertex_box(verts, cell.dim)
+        cell._bbox = box
     return cell._bbox
 
 
@@ -464,11 +511,10 @@ def _empty_box(dim: int):
 
 
 def _lp_box(cell: Cell):
-    """The box from 2n LPs over the closure; their points (optimal, or
-    feasible along an unbounded side) go to ``cell._box_points``."""
+    """The box from 2n LPs over the closure."""
     rows = [list(c.normal) for c in cell.constraints]
     rhs = [c.offset for c in cell.constraints]
-    box, points = [], []
+    box = []
     for j in range(cell.dim):
         bounds = []
         for sign in (_ONE, -_ONE):
@@ -478,45 +524,236 @@ def _lp_box(cell: Cell):
             if res.status == lp.INFEASIBLE:
                 return _empty_box(cell.dim)
             bounds.append(None if res.status == lp.UNBOUNDED else sign * res.value)
-            points.append(res.point)
         box.append((bounds[1], bounds[0]))
-    cell._box_points = tuple(points)
     return tuple(box)
 
 
-def _facets(rows: list, points) -> list[bool]:
-    """For each integer row (A, B, strict), whether ray shooting from the
-    mean p of the points proves it a facet of the cell the rows denote.
+def _vertex_box(verts, dim: int):
+    if not verts:
+        return _empty_box(dim)
+    points = [[Fraction(v, m) for v in x] for x, m, _ in verts]
+    return tuple((min(col), max(col)) for col in zip(*points))
 
-    Every row must be strictly slack at p, or nothing is proven.  The ray
-    p + s.A_j meets row i at s_i = slack_i / (A_i.A_j) when A_i.A_j > 0,
-    and row j itself is always met.  The row met first is proven when no
-    other row is met at the same s.  Slacks and products are integers
-    (the rows and p are scaled by positive numbers, which scales every
-    s_i of one ray alike), and two hits are compared by cross-multiplying.
+
+# ---------------------------------------------------------------------------
+# Vertices of the relaxed closure: (X, M, Z) triples, see the module notes.
+# ---------------------------------------------------------------------------
+
+
+def _vertices(cell: Cell):
+    """The cell's vertices, derived from its source, from the parallelotope
+    its rows bound, or from its known box; None when it has none (an
+    unbounded closure) or none yet (no source has them, its rows bound no
+    parallelotope and no box is known)."""
+    verts = cell._verts
+    if verts is None:
+        verts = _derived(cell)
+        if verts is None:
+            verts = _slab_vertices(cell)
+        if verts is None:
+            if cell._bbox is None:
+                return None
+            verts = _box_vertices(cell, cell._bbox)
+        cell._verts, cell._src = verts, None
+    return None if verts is False else verts
+
+
+def _derived(cell: Cell):
+    """The vertices from the cell's source: an operand of ``intersect``
+    that has them, clipped by the other operand's rows, or the vertices of
+    the cell that ``preimage_linear`` inverted, mapped by A^-1."""
+    if cell._src is None:
+        return None
+    a, b = cell._src
+    if not isinstance(b, Cell):
+        verts = _vertices(a)
+        if verts is None:
+            return None
+        # A y = x, row i times the lcm l_i of its denominators, for y = A^-1 x
+        rows = [_scaled(row) for row in b]
+        mapped = []
+        for x, m, z in verts:
+            solved = lp._solve_integer(
+                [list(row) for row, _ in rows], [l * v for (_, l), v in zip(rows, x)]
+            )
+            if solved is None:  # A is singular
+                return None
+            d, y = solved
+            mapped.append(_reduced(tuple(y), d * m, z))
+        return tuple(mapped)
+    k = len(a.constraints)
+    operands = [(a, b, 0, k), (b, a, k, 0)]
+    if a._verts is None and b._verts:
+        operands.reverse()
+    for base, other, shift, first in operands:
+        verts = _vertices(base)
+        if verts is not None:
+            if shift:
+                verts = [(x, m, z << shift) for x, m, z in verts]
+            return _clip(verts, _int_rows(other), first, cell.dim)
+    return None
+
+
+def _slab_vertices(cell: Cell):
+    """The vertices of a cell whose rows bound d.x from both sides along n
+    independent directions d (a box, or a sublevel set ||Lx||_inf <= g):
+    the parallelotope of the first such rows clipped by all of them.  None
+    when the rows hold no such pairs."""
+    first = {}
+    for i, (a, b, _) in enumerate(_int_rows(cell)):
+        g = gcd(*a)
+        first.setdefault(tuple(v // g for v in a), (Fraction(b, g), 1 << i))
+    directions, bounds = [], []
+    for d, hi in first.items():
+        opposite = tuple(-v for v in d)
+        if opposite in first and d > opposite and _rank(directions + [d]) > len(directions):
+            lo = first[opposite]
+            directions.append(d)
+            bounds.append(((-lo[0], lo[1]), hi))
+            if len(directions) == cell.dim:
+                return _parallelotope_vertices(cell, directions, bounds)
+    return None
+
+
+def _box_vertices(cell: Cell, box):
+    """The vertices of a cell from its box, whose rows x_j <= hi_j and
+    x_j >= lo_j get bits k + 2j and k + 2j + 1 past the cell's k rows.
+    False for an unbounded box."""
+    if any(v is None for side in box for v in side):
+        return False
+    k, n = len(cell.constraints), cell.dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    bounds = [
+        ((lo, 1 << (k + 2 * j + 1)), (hi, 1 << (k + 2 * j)))
+        for j, (lo, hi) in enumerate(box)
+    ]
+    verts = _parallelotope_vertices(cell, units, bounds)
+    if not verts and all(lo <= hi for lo, hi in box):
+        raise InternalError("a cell with a non-empty box has no vertex")
+    return verts
+
+
+def _parallelotope_vertices(cell: Cell, directions, bounds) -> tuple:
+    """The vertices of a cell whose closure lies in the parallelotope
+    lo_j <= d_j.x <= hi_j, for n independent integer directions d_j and
+    bounds ((lo_j, Z), (hi_j, Z)) carrying the bits of the rows tight at
+    each: its corners clipped by the cell's rows, with the bits of other
+    rows dropped."""
+    if any(lo[0] > hi[0] for lo, hi in bounds):
+        return ()
+    scale = lcm(*(v.denominator for side in bounds for v, _ in side))
+    verts = []
+    for corner in product(
+        *(((lo[0], lo[1] | hi[1]),) if lo[0] == hi[0] else (lo, hi) for lo, hi in bounds)
+    ):
+        z = 0
+        for _, bit in corner:
+            z |= bit
+        d, x = lp._solve_integer(
+            [list(row) for row in directions],
+            [v.numerator * (scale // v.denominator) for v, _ in corner],
+        )
+        verts.append(_reduced(tuple(x), d * scale, z))
+    mask = (1 << len(cell.constraints)) - 1
+    return tuple((x, m, z & mask) for x, m, z in _clip(verts, _int_rows(cell), 0, cell.dim))
+
+
+def _clip(verts, rows, first: int, n: int) -> tuple:
+    """The vertices of a bounded polytope in R^n cut by the integer rows
+    (A, B, strict) relaxed to A.x <= B, row j getting bit first + j: one
+    double-description step per row, the last row first (a complement
+    piece ends with its negated row, which most often leaves nothing).
+
+    A vertex with positive slack stays, one with zero slack stays and
+    gets the row's bit, and one with negative slack goes.  A vertex u that
+    stays strictly inside and one w that goes span an edge iff at least
+    n - 1 rows are tight at both and no other vertex is tight on all of
+    those (the combinatorial adjacency test); the edge's point on the row's
+    hyperplane is new, tight exactly where both ends are, and on the row.
     """
-    facet = [False] * len(rows)
-    p, m = _scaled(tuple(sum(col) / len(points) for col in zip(*points)))
-    slack = [b * m - sum(map(mul, a, p)) for a, b, _ in rows]
-    if any(s <= 0 for s in slack):
-        return facet
-    for aj, _, _ in rows:
-        first, first_dot, tie = None, 0, False
-        for i, (ai, _, _) in enumerate(rows):
-            dot = sum(map(mul, ai, aj))
-            if dot <= 0:
-                continue
-            if first is None:
-                first, first_dot = i, dot
-                continue
-            lhs, rhs = slack[i] * first_dot, slack[first] * dot
-            if lhs < rhs:
-                first, first_dot, tie = i, dot, False
-            elif lhs == rhs:
-                tie = True
-        if not tie:
-            facet[first] = True
-    return facet
+    for j in range(len(rows) - 1, -1, -1):
+        if not verts:
+            break
+        a, b, _ = rows[j]
+        bit = 1 << (first + j)
+        kept, inside, outside = [], [], []
+        for v in verts:
+            s = b * v[1] - sum(map(mul, a, v[0]))
+            if s > 0:
+                kept.append(v)
+                inside.append((v, s))
+            elif s == 0:
+                kept.append((v[0], v[1], v[2] | bit))
+            else:
+                outside.append((v, s))
+        if outside:
+            for u, su in inside:
+                for w, sw in outside:
+                    common = u[2] & w[2]
+                    if common.bit_count() < n - 1 or any(
+                        v is not u and v is not w and v[2] & common == common
+                        for v in verts
+                    ):
+                        continue
+                    x = tuple(su * q - sw * p for p, q in zip(u[0], w[0]))
+                    kept.append(_reduced(x, su * w[1] - sw * u[1], common | bit))
+        verts = kept
+    return tuple(verts)
+
+
+def _reduced(x: tuple[int, ...], m: int, z: int) -> tuple:
+    """The vertex x / m (m > 0) in lowest terms."""
+    g = gcd(m, *x)
+    return tuple(v // g for v in x), m // g, z
+
+
+def _centroid(verts, dim: int) -> Vector:
+    big = lcm(*(m for _, m, _ in verts))
+    k = len(verts)
+    return tuple(
+        Fraction(sum(x[j] * (big // m) for x, m, _ in verts), big * k)
+        for j in range(dim)
+    )
+
+
+def _spans(verts, d: int) -> bool:
+    """Whether vertices of a polytope span an affine space of dimension at
+    least d.  No three vertices of a polytope are collinear, so for d <= 2
+    any d + 1 of them do."""
+    if len(verts) <= d:
+        return False
+    return d <= 2 or _rank([x + (m,) for x, m, _ in verts]) == d + 1
+
+
+def _rank(rows: Sequence[Sequence]) -> int:
+    """The rank of a matrix of ints or Fractions, by fraction-free
+    elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p[col] * u - f * v for u, v in zip(rows[i], p)]
+        rank += 1
+    return rank
+
+
+def vertices(cell: Cell) -> Optional[list[Vector]]:
+    """The exact vertices of the cell's closure with every strict flag
+    dropped (none when that is empty); None when it is unbounded."""
+    verts = _vertices(cell)
+    if verts is None:
+        bounding_box(cell)  # a cell with a box has vertices, or is unbounded
+        verts = _vertices(cell)
+    if verts is None:
+        return None
+    return [tuple(Fraction(v, m) for v in x) for x, m, _ in verts]
 
 
 def boxes_overlap(a: Cell, b: Cell) -> bool:
@@ -541,9 +778,9 @@ def apply_matrix(a_matrix: Matrix, x: Vector) -> Vector:
 
 
 def cell_subset(a: Cell, b: Cell) -> bool:
-    """Exact test a <= b: a meets no complement piece of b.  A piece whose
-    negated row fails on a's whole bounding box needs no LP."""
-    return not _cut([a], b, met=a)
+    """Exact test a <= b: a lies in b by its vertices, or it meets no
+    complement piece of b."""
+    return _inside(a, b) or not _cut([a], b, met=a)
 
 
 def region_contains_point(region: Region, point: Sequence) -> bool:

@@ -39,6 +39,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .errors import InternalError
+
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
@@ -96,7 +98,7 @@ def _exact(objective, rows, rhs) -> LPResult:
     n = len(objective)
     run = _simplex(objective, rows, rhs, Fraction, 0)
     if run is None:
-        raise AssertionError(
+        raise InternalError(
             "phase 1 reported an unbounded objective, which is bounded by 0"
         )
     status, tab, basis, obj = run

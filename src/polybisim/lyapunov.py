@@ -19,6 +19,7 @@ from .geometry import (
     Matrix,
     Region,
     Vector,
+    _rank,
     difference,
     mat,
     vec,
@@ -93,24 +94,6 @@ class LevelSequence:
     @property
     def n_steps(self) -> int:
         return len(self.gammas) - 1
-
-
-def _rank(m: Matrix) -> int:
-    rows = [list(r) for r in m]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-    return rank
 
 
 def lf_value(lf: PolyhedralLF, x: Sequence) -> Fraction:

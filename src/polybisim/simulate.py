@@ -21,6 +21,7 @@ from .abstraction import (
     observation_of,
     quotient_word,
 )
+from .errors import InternalError
 from .geometry import (
     Cell, Vector, apply_matrix, bounding_box, contains_point, contains_scaled,
     sample_point, scale_point, vec,
@@ -66,7 +67,7 @@ def simulate(
     steps = 0
     while not word[-1].is_target:
         if steps >= max_steps:
-            raise AssertionError(
+            raise InternalError(
                 "trajectory failed to reach the target set within the bound"
             )
         x = apply_matrix(sys.a_matrix, x)

@@ -1,9 +1,9 @@
 """Deterministic SVG rendering of 2-D partitions and highlight regions.
 
-Vertices of each cell's closure are enumerated exactly (pairwise
-constraint intersection plus feasibility filtering); floats appear only
-in the final coordinate formatting, so identical inputs always produce
-byte-identical files.
+Each cell is drawn from its exact vertices, the vertex cache that
+``geometry`` keeps for every bounded cell, ordered by angle around their
+centroid; floats appear only in the final coordinate formatting, so
+identical inputs always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .abstraction import Partition
-from .geometry import Cell, Region, bounding_box, contains_point
+from .geometry import Cell, Region, bounding_box, vertices
 
 _FILL_BY_OBS = {
     "PI_D": "#c8a165",
@@ -24,31 +24,24 @@ _HIGHLIGHT_FILL = "#9b6bbf"
 
 
 def cell_vertices(cell: Cell) -> list[tuple[Fraction, Fraction]]:
-    """Exact vertices of the closure of a 2-D cell, in hull order."""
+    """Exact vertices of the closure of a bounded 2-D cell, in hull order."""
     if cell.dim != 2:
         raise ValueError("vertex enumeration is implemented for n=2 only")
-    closed = cell.closure()
-    cons = closed.constraints
-    points = set()
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            (a1, b1), c1 = cons[i].normal, cons[i].offset
-            (a2, b2), c2 = cons[j].normal, cons[j].offset
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if contains_point(closed, (x, y)):
-                points.add((x, y))
-    pts = list(points)
-    if len(pts) > 2:
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-        pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
-    else:
-        pts.sort()
-    return pts
+    pts = vertices(cell)
+    if pts is None:
+        raise ValueError("cannot draw an unbounded cell")
+    if len(pts) <= 2:
+        return sorted(pts)
+    # the angle of p - c for the centroid c, from p - c times an integer
+    # d > 0: int / int rounds as float(Fraction) does, so the order is the
+    # one the Fractions give
+    k = len(pts)
+    d = math.lcm(*(v.denominator for p in pts for v in p))
+    scaled = [tuple(v.numerator * (d // v.denominator) for v in p) for p in pts]
+    cx, cy = (sum(col) for col in zip(*scaled))
+    d *= k
+    angle = [math.atan2((k * y - cy) / d, (k * x - cx) / d) for x, y in scaled]
+    return [pts[i] for i in sorted(range(k), key=angle.__getitem__)]
 
 
 def _fmt(x: float) -> str:

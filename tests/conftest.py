@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from polybisim import build_quotient, load_problem
+from polybisim import build_quotient, load_problem, lp
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -40,3 +40,17 @@ def paper_build(paper_spec):
         paper_spec.regions,
     )
     return quotient, partition, time.monotonic() - t0
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that grows by one for every LP solved while the test runs."""
+    calls = []
+    real = lp.maximize
+
+    def maximize(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize", maximize)
+    return calls

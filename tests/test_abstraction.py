@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import polybisim
 from polybisim.abstraction import (
     OBS_EMPTY,
     OBS_TARGET,
@@ -20,6 +21,7 @@ from polybisim.abstraction import (
     parse_quotient,
     quotient_word,
 )
+from polybisim.errors import InternalError
 from polybisim.geometry import (
     Cell,
     Region,
@@ -201,6 +203,29 @@ def test_cell_of_outside_raises(small2d):
     _, _, _, _, partition = small2d
     with pytest.raises(ValueError):
         partition.cell_of([100, 100])
+
+
+def test_library_callers_catch_typed_internal_errors():
+    """A broken invariant reaches a library caller as InternalError, which
+    it can tell from bad input (ValueError) and which stays an
+    AssertionError for callers that catch that."""
+    sys = LinearSystem.of([["0.5"]])
+    lf = PolyhedralLF.of([["1"]], "0.5")
+    quotient, partition = build_quotient(sys, lf, 1, 2, [])
+    outer = partition.cell_of([F("1.5")])
+    caught = []
+    try:
+        quotient_word(quotient, outer, max_len=1)  # too short for the target
+    except InternalError as exc:
+        caught.append(exc)
+    del partition.blocks[partition.cell_of([F("-1.5")])]
+    try:
+        partition.cell_of([F("-1.5")])  # its block is gone
+    except InternalError as exc:
+        caught.append(exc)
+    assert len(caught) == 2
+    assert all(isinstance(exc, AssertionError) for exc in caught)
+    assert polybisim.InternalError is InternalError
 
 
 def _scan_cell_of(partition, p):

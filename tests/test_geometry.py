@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polybisim import geometry, lp
+from polybisim import geometry
 from polybisim.geometry import (
     Cell,
     Constraint,
@@ -340,53 +340,41 @@ def test_difference_matches_pruned_complement_reference(n):
             assert hits == int(expect)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """A list that grows by one for every LP solved while the test runs."""
-    calls = []
-    real = lp.maximize
-
-    def maximize(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "maximize", maximize)
-    return calls
-
-
 def test_difference_solves_no_lp_for_complement_pieces(lp_calls):
     a, b = box2(0, 2), box2(1, 3)
     for cell in (a, b):
         bounding_box(cell)
     lp_calls.clear()
     d = difference(Region((a,)), Region((b,)))
-    # one LP proves that a meets b, then one per complement piece of b whose
-    # rows can all hold on a's box [0, 2]^2 (x < 1, and x >= 1 with y < 1);
-    # the pieces with x > 3 or y > 3 fail on the box and need no LP, and no
-    # LP proves a piece on its own
-    assert len(lp_calls) == 3
+    # both boxes carry their corners, so the meet test and every complement
+    # piece of b (x < 1, x >= 1 with y < 1, and the empty x > 3 and y > 3)
+    # are decided by clipping a's vertices: no LP
+    assert lp_calls == []
     assert len(d.cells) == 2
 
 
 @pytest.mark.parametrize(
-    "rows, cells, lps",
+    "rows, cells",
     [
         # x <= 0 holds only on the face x = 0 of a, and the flat piece
         # {x = 0, 1 < y <= 2} of the complement piece after it stays
-        ([constraint([1, 0], 0), constraint([0, 1], 1)], 2, 3),
+        ([constraint([1, 0], 0), constraint([0, 1], 1)], 2),
         # x >= 2, the negation of x < 2, holds on the face x = 2 of a
-        ([constraint([1, 0], 2, True)], 1, 2),
-        # x > 2, the negation of x <= 2, holds nowhere on a: no LP for it
-        ([constraint([1, 0], 2), constraint([0, 1], 1)], 1, 2),
+        ([constraint([1, 0], 2, True)], 1),
+        # x > 2, the negation of x <= 2, is tight at a's vertices on x = 2
+        # and strict there: empty
+        ([constraint([1, 0], 2), constraint([0, 1], 1)], 1),
     ],
 )
-def test_difference_box_test_on_the_faces_of_the_box(lp_calls, rows, cells, lps):
+def test_difference_decides_face_contacts_at_vertices(lp_calls, rows, cells):
     a, b = Region((box2(0, 2),)), Region((Cell(2, rows),))
     for cell in a.cells + b.cells:
         bounding_box(cell)
     lp_calls.clear()
     got = difference(a, b)
-    assert len(lp_calls) == lps
+    # b is unbounded and has no vertices; a's corners decide every piece,
+    # the flat ones on its faces too
+    assert lp_calls == []
     assert len(got.cells) == cells
     want = _difference_with_pruned_complement(a, b)
     assert [c.constraints for c in got.cells] == [c.constraints for c in want]
@@ -591,23 +579,33 @@ def test_split_of_a_flat_cell(x, strict, parts):
     assert (len(inside), len(outside)) == parts
 
 
-def test_split_decides_each_intersection_once(lp_calls):
+def test_split_decides_each_intersection_once(lp_calls, monkeypatch):
     cell = box2(0, 2)
-    far = box2(5, 6)  # its box misses the cell's box: no LP
+    far = box2(5, 6)  # its box misses the cell's box: not tested
     meets = box2(1, 3)
     # its box overlaps the cell's box, but the cell lies in x + y >= 0
     corner = Cell(2, [constraint([-1, 0], 1), constraint([0, -1], 1), constraint([1, 1], F("-1/2"))])
     region = Region((far, meets, corner))
     for c in (cell,) + region.cells:
         bounding_box(c)
+    decided = []
+    real = geometry.is_empty
+
+    def is_empty(c):
+        if c._empty is None:
+            decided.append(c.constraints)
+        return real(c)
+
+    monkeypatch.setattr(geometry, "is_empty", is_empty)
     lp_calls.clear()
     inside, outside = split(cell, region)
-    # one LP proves that the cell meets `meets` and becomes inside[0]; two
-    # cut the rest (x < 1, and x >= 1 with y < 1; x > 3 and y > 3 fail on
-    # the box); one proves that the cell misses `corner`, which is then
-    # not tested against the rest's pieces
-    assert len(lp_calls) == 4
-    assert len({(tuple(map(tuple, rows)), tuple(rhs)) for _, rows, rhs in lp_calls}) == 4
+    # the cell meets `meets` and becomes inside[0]; the four complement
+    # pieces of `meets` cut the rest (x < 1 and x >= 1 with y < 1 stay,
+    # x > 3 and y > 3 are empty); the cell misses `corner`, which is then
+    # not tested against the rest's pieces.  The cell's corners decide all
+    # six, each once, with no LP
+    assert lp_calls == []
+    assert len(decided) == len(set(decided)) == 6
     assert [c.constraints for c in inside] == [intersect(cell, meets).constraints]
     assert len(outside) == 2
     want_in, want_out = _split_reference(cell, region)
@@ -685,20 +683,15 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
         cell, kinds = _redundancy_case(rng, n)
         want = _greedy_reference(cell)
         greedy_lps = len(dict.fromkeys(cell.constraints))
-        # the cell as a caller holds it: emptiness unknown, known (the
-        # certificates need a non-empty cell), with its own box (both
-        # certificates), or inside a cell with a box (the box bound only)
-        state = rng.choice(["unknown", "known", "own box", "outer box"])
-        outer = None
+        # the cell as a caller holds it: emptiness unknown, known, or with
+        # its box, from which a bounded cell gets its vertices
+        state = rng.choice(["unknown", "known", "own box"])
         if state != "unknown":
             seen["empty" if is_empty(cell) else "non-empty"] += 1
         if state == "own box":
             bounding_box(cell)
-        elif state == "outer box":
-            outer = Cell(n, cell.constraints[: rng.randrange(len(cell.constraints) + 1)])
-            bounding_box(outer)
         lp_calls.clear()
-        got = remove_redundancy(cell, outer)
+        got = remove_redundancy(cell)
         assert list(got.constraints) == want
         assert len(lp_calls) <= greedy_lps
         saved[state] += greedy_lps - len(lp_calls)
@@ -712,11 +705,17 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
             ):
                 assert contains_point(got, p) is contains_point(fresh, p)
     kinds = ["unbounded", "scaled twin", "strict twin", "reverse", "duplicate", "empty"]
-    kinds += ["known", "own box", "outer box", "unknown"] + ["corner"] * (n > 1)
+    kinds += ["known", "own box", "unknown"] + ["corner"] * (n > 1)
     assert min(seen[k] for k in kinds) >= 5, seen
-    # the certificates need a non-empty cell and a box
-    assert saved["unknown"] == saved["known"] == 0
-    assert min(saved["own box"], saved["outer box"]) >= 15, saved
+    # LPs saved against the plain greedy: a cell whose rows bound it from
+    # both sides along n independent directions (every bounded 1-D cell)
+    # has its vertices whatever the caller knows, and any other bounded
+    # cell gets them from its box
+    assert dict(saved) == {
+        1: {"unknown": 132, "known": 172, "own box": 185},
+        2: {"unknown": 167, "known": 192, "own box": 251},
+        3: {"unknown": 285, "known": 263, "own box": 263},
+    }[n]
 
 
 def test_remove_redundancy_lp_count(lp_calls):
@@ -727,28 +726,37 @@ def test_remove_redundancy_lp_count(lp_calls):
     rows = diamond[:1] + [constraint([1, 0], 3)] + diamond[1:] + [diamond[0], twin, touch]
     cell = Cell(2, rows)
     assert not is_empty(cell)
+    # x + y and x - y are bounded from both sides: the parallelotope they
+    # bound, clipped by every row, gives the diamond's four vertices and
+    # its box with no LP
     lp_calls.clear()
     assert bounding_box(cell) == ((-2, 2), (-2, 2))
-    assert len(lp_calls) == 4  # the box's optimal points are its 4 corners
-    lp_calls.clear()
     got = remove_redundancy(cell)
-    # x <= 3 is below its offset on the box: no LP.  The rays from the
-    # diamond's centre along x - y, -x + y and -x - y each meet their own
-    # row alone: no LP.  Along x + y the row ties with its twin, so x + y
-    # (dropped, the twin is there), the twin (then kept) and x + 2y
-    # (dropped) each take one LP, where the plain greedy takes seven
-    assert len(lp_calls) == 3
+    # x <= 3 is slack at all of
+    # them: dropped.  x - y, -x + y and -x - y are each tight at two
+    # vertices with no twin: kept.  x + 2y is non-strict and tight at
+    # (0, 2) alone: dropped.  x + y and its twin 2x + 2y tie, so the
+    # greedy tests them: x + y takes one LP (dropped, the twin is there),
+    # and the twin's test cell, bounded by x - y and x + y from both sides,
+    # is decided by its own vertices (kept).  The plain greedy takes seven
+    assert len(lp_calls) == 1
     assert list(got.constraints) == diamond[1:] + [twin]
     assert list(got.constraints) == _greedy_reference(cell)
-    # inside a cell with a box the box bound alone applies: one LP per row
-    # that it does not drop, none for the box
-    piece = Cell(2, rows)
-    assert not is_empty(piece)
-    lp_calls.clear()
-    got = remove_redundancy(piece, cell)
-    assert len(lp_calls) == 6
-    assert list(got.constraints) == diamond[1:] + [twin]
-    assert piece._bbox is None and got._bbox is None
+    assert geometry.vertices(got) == geometry.vertices(cell)
+    # a triangle has no opposite rows: until its box is known it has no
+    # vertices, and the greedy takes one LP per row; with its box (4 LPs)
+    # it takes none
+    triangle = [constraint([-1, 0], 0), constraint([0, -1], 0), constraint([1, 1], 2)]
+    triangle.append(constraint([1, 1], 3))
+    for boxed, lps in ((False, 4), (True, 0)):
+        cell = Cell(2, triangle)
+        if boxed:
+            bounding_box(cell)
+        lp_calls.clear()
+        got = remove_redundancy(cell)
+        assert len(lp_calls) == lps
+        assert list(got.constraints) == triangle[:3] == _greedy_reference(cell)
+        assert (got._bbox is None) is not boxed
 
 
 def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
@@ -763,13 +771,18 @@ def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
         lp_calls.clear()
         inside, outside = split(cell, region)
         lps = len(lp_calls)
+        assert lps == 0
         if rc is holds:
-            # the intersection is the cell: its sample and box, no LP
-            assert lps == 0 and outside == []
+            # every row of rc holds at every corner of the cell: the
+            # intersection is the cell, with its vertices, centroid and box
+            assert outside == []
+            assert geometry.vertices(inside[0]) == geometry.vertices(cell)
             assert sample_point(inside[0]) == sample_point(cell)
             assert bounding_box(inside[0]) == bounding_box(cell)
         else:
-            assert lps >= 1 and len(outside) == 2
+            # the open box's rows x < 2 and y < 2 are tight at corners of
+            # the cell: its vertices are clipped, still with no LP
+            assert len(outside) == 2
         want_in, want_out = _split_reference(cell, region)
         assert [c.constraints for c in inside] == [c.constraints for c in want_in]
         assert [c.constraints for c in outside] == [c.constraints for c in want_out]
