@@ -3,7 +3,8 @@
 ``label_quotient``, the pipeline's path, labels each state with
 ``logic.label`` from its letter and its one successor: no automaton.  The
 automaton path is its check: ``product`` synchronizes the quotient with a
-formula automaton, the accepting core is the largest set of accepting
+formula automaton on the fly, keeping only the pairs reachable from the
+initial pairings; the accepting core is the largest set of accepting
 product states each of which can reach another member in at least one
 step, and a state satisfies the formula exactly when the core is reachable
 from one of its initial pairings.
@@ -23,7 +24,11 @@ ProductState = tuple  # (quotient state, automaton state)
 
 @dataclass(frozen=True)
 class ProductAutomaton:
-    """``transitions`` has an entry for every state, possibly empty."""
+    """``transitions`` has an entry for every state, possibly empty.
+
+    ``product`` builds one whose states are exactly the pairs reachable
+    from ``initial``; the core routines below take any such graph.
+    """
 
     states: tuple[ProductState, ...]
     initial: frozenset
@@ -85,30 +90,37 @@ def label_quotient(
 
 
 def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
-    """Synchronized product; edges fire on the source quotient state's
-    observation letter, and each guard is tested once per distinct
-    observation."""
+    """Synchronized product, restricted to the pairs reachable from the
+    initial pairings (every quotient state with every initial automaton
+    state).
+
+    Edges fire on the source quotient state's observation letter.  The
+    pairs are found by a worklist, so each guard is tested once per
+    (observation, automaton state) actually reached.  Every kept pair has
+    the successors it has in the full product, so the accepting core
+    restricted to these pairs, and every satisfying set, are unchanged.
+    """
     _check_atoms(quotient, b.atoms)
-    states = []
+    states = [(q, s0) for q in quotient.states for s0 in sorted(b.initial)]
+    initial = frozenset(states)
+    seen = set(states)
     transitions = {}
-    fired = {}  # observation -> {automaton state: destinations it enables}
-    for q in quotient.states:
+    fired = {}  # (observation, automaton state) -> destinations enabled
+    for q, s in states:  # the list grows as the worklist
         obs = quotient.observations[q]
-        dsts = fired.get(obs)
+        dsts = fired.get((obs, s))
         if dsts is None:
             letter = obs.letter()
-            dsts = fired[obs] = {
-                s: tuple(e.dst for e in b.edges.get(s, ()) if e.accepts(letter))
-                for s in b.states
-            }
+            dsts = fired[obs, s] = tuple(
+                e.dst for e in b.edges.get(s, ()) if e.accepts(letter)
+            )
         q_next = quotient.transitions[q]
-        for s in b.states:
-            states.append((q, s))
-            transitions[(q, s)] = tuple((q_next, d) for d in dsts[s])
-    initial = frozenset((q, s0) for q in quotient.states for s0 in b.initial)
-    accepting = frozenset(
-        (q, s) for q in quotient.states for s in b.accepting
-    )
+        succ = transitions[q, s] = tuple((q_next, d) for d in dsts)
+        for pair in succ:
+            if pair not in seen:
+                seen.add(pair)
+                states.append(pair)
+    accepting = frozenset((q, s) for q, s in states if s in b.accepting)
     return ProductAutomaton(tuple(states), initial, transitions, accepting)
 
 
@@ -135,27 +147,9 @@ def _backward_closure(seeds, preds) -> set:
     return seen
 
 
-def f_star_fixpoint(p: ProductAutomaton) -> frozenset:
-    """Greatest fixpoint: repeatedly drop accepting states that cannot
-    reach a remaining member in one or more steps."""
-    preds = _predecessors(p.transitions, p.states)
-    core = set(p.accepting)
-    while True:
-        # states with a path of length >= 1 into the current core
-        one_step = set()
-        for m in core:
-            one_step.update(preds.get(m, ()))
-        can_reach = _backward_closure(one_step, preds)
-        # seeds already count as length >= 1; extend by closure over preds
-        keep = core & (one_step | can_reach)
-        if keep == core:
-            return frozenset(core)
-        core = keep
-
-
 def f_star_scc(p: ProductAutomaton) -> frozenset:
-    """Equivalent characterization: accepting states that reach (in zero
-    or more steps) an accepting state lying on a cycle."""
+    """The accepting core: accepting states that reach (in zero or more
+    steps) an accepting state lying on a cycle."""
     graph = p.transitions
     preds = _predecessors(graph, p.states)
     cyclic_accepting = set()

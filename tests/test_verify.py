@@ -1,6 +1,7 @@
 """Product construction, the self-reaching accepting core, and the
-satisfying set; labelling the quotient against the automaton path; the
-exact bisimulation property of the quotients labelled."""
+satisfying set; the reachable product against the full one; labelling the
+quotient against the automaton path; the exact bisimulation property of
+the quotients labelled."""
 
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from polybisim.logic import (
     Always,
     And,
     Atom,
+    BuchiAutomaton,
+    Edge,
     Eventually,
     FalseF,
     Implies,
@@ -38,12 +41,12 @@ from polybisim.problem import load_problem
 from polybisim.verify import (
     ProductAutomaton,
     f_star,
-    f_star_fixpoint,
     f_star_scc,
     label_quotient,
     product,
     satisfying_states,
 )
+from product_reference import f_star_fixpoint, full_product
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = {
@@ -156,14 +159,66 @@ def test_product_rejects_undeclared_atoms():
         product(quotient, b)
 
 
+def _forward_closure(p):
+    """The product states reachable from its initial pairings."""
+    seen = set(p.initial)
+    stack = list(p.initial)
+    while stack:
+        for d in p.transitions[stack.pop()]:
+            if d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return seen
+
+
+def _assert_reachable_product(quotient, b, p):
+    """p's states are exactly the forward closure of its initial pairings,
+    each with a transitions entry equal to the per-state guard evaluation."""
+    assert set(p.transitions) == set(p.states)
+    assert len(set(p.states)) == len(p.states)
+    assert p.initial == {(q, s0) for q in quotient.states for s0 in b.initial}
+    assert set(p.states) == _forward_closure(p)
+    for (q, s), dsts in p.transitions.items():
+        letter = quotient.observations[q].letter()
+        assert dsts == tuple(
+            (quotient.transitions[q], e.dst)
+            for e in b.edges.get(s, ())
+            if e.accepts(letter)
+        )
+    assert p.accepting == {(q, s) for q, s in p.states if s in b.accepting}
+
+
 def test_product_transition_structure():
     quotient, _ = _quotient_1d()
     b = to_buchi(parse_ltl("F pid"))
     p = product(quotient, b)
-    assert len(p.states) == len(quotient.states) * len(b.states)
-    for (q, s), dsts in p.transitions.items():
-        for (qn, sn) in dsts:
-            assert qn == quotient.transitions[q]
+    _assert_reachable_product(quotient, b, p)
+    assert len(p.states) <= len(quotient.states) * len(b.states)
+
+
+def test_product_pairs_every_initial_automaton_state():
+    # to_buchi makes one initial state; a hand-built automaton has two,
+    # and state 2 is reached only through a pid letter
+    quotient, _ = _quotient_1d()
+    b = BuchiAutomaton(
+        (0, 1, 2, 3),
+        frozenset({0, 1}),
+        {
+            0: (Edge(frozenset({"pid"}), frozenset(), 2),),
+            1: (Edge(frozenset(), frozenset(), 1),),
+            2: (Edge(frozenset(), frozenset(), 2),),
+            3: (Edge(frozenset(), frozenset(), 3),),
+        },
+        frozenset({2, 3}),
+        frozenset({"pid"}),
+    )
+    p = product(quotient, b)
+    _assert_reachable_product(quotient, b, p)
+    target = quotient.target_state
+    assert set(p.states) == {(q, s) for q in quotient.states for s in (0, 1)} | {
+        (target, 2)
+    }
+    assert satisfying_states(p, f_star(p)).state_ids == {target}
 
 
 def test_product_matches_per_state_guard_evaluation():
@@ -174,18 +229,7 @@ def test_product_matches_per_state_guard_evaluation():
     quotient, _ = build_quotient(sys, lf, 1, 4, [ObservedRegion("r1", r1)])
     for text in ("F pid", "!r1 U pid", "G (r1 -> X !r1)", "F r1 & G F pid"):
         b = to_buchi(parse_ltl(text, atoms={"r1", "pid"}))
-        p = product(quotient, b)
-        want = {}
-        for q in quotient.states:
-            letter = quotient.observations[q].letter()
-            for s in b.states:
-                want[(q, s)] = tuple(
-                    (quotient.transitions[q], e.dst)
-                    for e in b.edges.get(s, ())
-                    if e.accepts(letter)
-                )
-        assert list(p.transitions.items()) == list(want.items())
-        assert p.states == tuple(want)
+        _assert_reachable_product(quotient, b, product(quotient, b))
 
 
 def _box(lo, hi):
@@ -279,6 +323,48 @@ def test_labelling_matches_the_automaton_path(name):
             if label_quotient(quotient, g, partition) != want:
                 disagree.append(str(g))
     assert disagree == []
+
+
+def _nested_until(rng, atoms):
+    """A chain of three or four Untils over literals, conjoined with a
+    recurrence: automata of about 30 to a few hundred states."""
+    def lit():
+        a = Atom(rng.choice(atoms))
+        return Not(a) if rng.random() < 0.5 else a
+
+    f = lit()
+    for _ in range(rng.randint(3, 4)):
+        f = Until(lit(), f)
+    return And(f, Always(Eventually(lit())))
+
+
+@pytest.mark.parametrize("name", ["toy_1d", "two_slice_2d", "three_d"])
+def test_reachable_product_matches_the_full_product(name):
+    """The reachable product keeps every reached pair's successors, so its
+    core is the full product's core on the reached pairs, and the
+    satisfying sets of both (and of labelling) are identical."""
+    quotient, partition = build_quotient(*_problem(name))
+    atoms = ["pid"] + sorted(
+        {o.label for o in quotient.observations.values() if o.is_region}
+    )
+    rng = random.Random(59)
+    formulas = [_random_formula(rng, atoms, rng.randint(1, 3)) for _ in range(60)]
+    formulas += [_nested_until(rng, atoms) for _ in range(12)]
+    large = 0
+    for f in formulas:
+        b = to_buchi(f)
+        large += len(b.states) > 100
+        p, full = product(quotient, b), full_product(quotient, b)
+        _assert_reachable_product(quotient, b, p)
+        reached = frozenset(p.states)
+        assert all(p.transitions[x] == full.transitions[x] for x in reached)
+        assert f_star(p) == f_star(full) & reached, str(f)
+        sat = satisfying_states(p, f_star(p), partition)
+        want = satisfying_states(full, f_star(full), partition)
+        assert sat.state_ids == want.state_ids, str(f)
+        assert sat.region.cells == want.region.cells, str(f)
+        assert label_quotient(quotient, f, partition) == sat, str(f)
+    assert large >= 3
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
