@@ -2,9 +2,10 @@
 # sequence between the target set and the working set.
 #
 # V(x) = ||Lx||_inf is a Lyapunov function for x' = Ax when one step
-# shrinks V by a factor rho < 1.  The certification is exact: one LP per
-# row of [LA; -LA] over the unit sublevel polytope gives the least such
-# factor, with no numerical tolerance involved.
+# shrinks V by a factor rho < 1.  The certification is exact: the maximum
+# of each row of [LA; -LA] over the exact vertices of the unit sublevel
+# polytope gives the least such factor, with no numerical tolerance
+# involved.
 
 from polybisim import (
     LinearSystem,

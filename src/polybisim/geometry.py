@@ -573,7 +573,7 @@ def _derived(cell: Cell):
         rows = [_scaled(row) for row in b]
         mapped = []
         for x, m, z in verts:
-            solved = lp._solve_integer(
+            solved = _solve_integer(
                 [list(row) for row, _ in rows], [l * v for (_, l), v in zip(rows, x)]
             )
             if solved is None:  # A is singular
@@ -649,7 +649,7 @@ def _parallelotope_vertices(cell: Cell, directions, bounds) -> tuple:
         z = 0
         for _, bit in corner:
             z |= bit
-        d, x = lp._solve_integer(
+        d, x = _solve_integer(
             [list(row) for row in directions],
             [v.numerator * (scale // v.denominator) for v, _ in corner],
         )
@@ -742,6 +742,34 @@ def _rank(rows: Sequence[Sequence]) -> int:
                 rows[i] = [p[col] * u - f * v for u, v in zip(rows[i], p)]
         rank += 1
     return rank
+
+
+def _solve_integer(a, b) -> Optional[tuple[int, list[int]]]:
+    """Solve the square integer system a x = b by fraction-free
+    Gauss-Jordan elimination (every intermediate entry is a minor, so
+    each division is exact).  Returns (d, [d * x_j]) with d > 0, or None
+    if a is singular."""
+    k = len(a)
+    t = [row + [bi] for row, bi in zip(a, b)]
+    prev = 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if t[r][col]), None)
+        if piv is None:
+            return None
+        t[col], t[piv] = t[piv], t[col]
+        prow = t[col]
+        p = prow[col]
+        for r in range(k):
+            if r != col:
+                row = t[r]
+                f = row[col]
+                for j in range(k + 1):
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+    xs = [row[k] for row in t]
+    if prev < 0:
+        return -prev, [-x for x in xs]
+    return prev, xs
 
 
 def vertices(cell: Cell) -> Optional[list[Vector]]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import lp
 from .geometry import (
     Cell,
     Constraint,
@@ -23,10 +22,8 @@ from .geometry import (
     difference,
     mat,
     vec,
+    vertices,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ContractionError(RuntimeError):
@@ -66,6 +63,8 @@ class PolyhedralLF:
             raise ValueError("ragged L matrix")
         if l < n:
             raise ValueError("L needs at least as many rows as columns")
+        if any(all(v == 0 for v in r) for r in self.l_matrix):
+            raise ValueError("L has a zero row")
         if _rank(self.l_matrix) < n:
             raise ValueError("L must have full column rank")
         if not (0 < self.rho < 1):
@@ -110,11 +109,17 @@ def _signed_rows(m: Matrix) -> list[Vector]:
 
 
 def unit_ball_row_maxima(lf: PolyhedralLF, sys: LinearSystem) -> list[Fraction]:
-    """For each row r of [L; -L]: max of r.(A x) over {||Lx||_inf <= 1}."""
+    """For each row r of [L; -L]: max of r.(A x) over {||Lx||_inf <= 1}.
+
+    A linear function's maximum over a polytope is attained at a vertex,
+    so each maximum is read off the unit ball's exact vertices: the
+    corners of the parallelotope that n independent rows of L bound from
+    both sides, clipped by the other rows (L has full column rank and no
+    zero row).  No LP is solved.
+    """
     if sys.n != lf.n:
         raise ValueError("system and L dimensions differ")
-    feas_rows = _signed_rows(lf.l_matrix)
-    rhs = [_ONE] * len(feas_rows)
+    ball = vertices(sublevel_cell(lf, 1))
     la = tuple(
         tuple(
             sum(lrow[i] * sys.a_matrix[i][j] for i in range(lf.n))
@@ -122,15 +127,10 @@ def unit_ball_row_maxima(lf: PolyhedralLF, sys: LinearSystem) -> list[Fraction]:
         )
         for lrow in lf.l_matrix
     )
-    maxima = []
-    for row in _signed_rows(la):
-        res = lp.maximize(row, feas_rows, rhs)
-        if res.status != lp.OPTIMAL:
-            raise ContractionError(
-                "sublevel set is unbounded; L cannot have full column rank"
-            )
-        maxima.append(res.value)
-    return maxima
+    return [
+        max(sum(a * x for a, x in zip(row, v)) for v in ball)
+        for row in _signed_rows(la)
+    ]
 
 
 def verify_contraction(lf: PolyhedralLF, sys: LinearSystem) -> Fraction:

@@ -225,3 +225,15 @@ def test_svg_skipped_for_1d(toy_path, tmp_path, capsys):
     assert main(["verify", str(toy_path), "--out-dir", str(out_dir), "--svg"]) == 0
     assert "skipped" in capsys.readouterr().out
     assert not (out_dir / "partition.svg").exists()
+
+
+def test_zero_row_of_l_is_an_input_error(toy_path, tmp_path, capsys):
+    doc = json.loads(toy_path.read_text())
+    doc["L"] = [["1"], ["0"]]  # full column rank, but a zero row
+    path = tmp_path / "zero_row.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "RANK_DEFICIENT" in line

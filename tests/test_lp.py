@@ -1,11 +1,13 @@
-"""Exact simplex solver: hand-checked programs plus a vertex-enumeration
-oracle on random bounded 2-D instances."""
+"""Exact simplex solver: hand-checked programs, and seeded families in
+n = 1, 2, 3 checked against a brute-force vertex-enumeration oracle."""
 
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,6 @@ def test_infeasible():
     assert res.status == lp.INFEASIBLE
     assert res.value is None
     assert res.point is None
-    assert not res.is_feasible
 
 
 def test_unbounded():
@@ -69,25 +70,50 @@ def test_degenerate_vertex():
     assert res.value == 2
 
 
-def _vertex_oracle(obj, rows, rhs):
-    """Best objective over all feasible pairwise intersection points.
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in m[1:]])
+        for j, a in enumerate(m[0])
+        if a
+    )
 
-    Valid for bounded 2-D feasible sets (the caller includes a box), where
-    a nonempty set always has an optimal vertex.
+
+def _feasible(rows, rhs, x):
+    return all(sum(a * v for a, v in zip(r, x)) <= b for r, b in zip(rows, rhs))
+
+
+def _vertex_oracle(obj, rows, rhs):
+    """Best objective over the feasible points where n of the rows meet
+    in one point, by brute force over every n-row subset with Cramer's
+    rule on integer-scaled rows; None if there is none.
+
+    Valid for bounded feasible sets (the caller includes a box), where a
+    nonempty set always has an optimal vertex.
     """
+    n = len(obj)
+    scaled = []
+    for r, b in zip(rows, rhs):
+        k = lcm(*(Fraction(v).denominator for v in [*r, b]))
+        scaled.append([int(Fraction(v) * k) for v in [*r, b]])
     best = None
-    m = len(rows)
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            if det == 0:
-                continue
-            x = (rhs[i] * rows[j][1] - rows[i][1] * rhs[j]) / det
-            y = (rows[i][0] * rhs[j] - rhs[i] * rows[j][0]) / det
-            if all(r[0] * x + r[1] * y <= b for r, b in zip(rows, rhs)):
-                v = obj[0] * x + obj[1] * y
-                if best is None or v > best:
-                    best = v
+    for subset in combinations(scaled, n):
+        d = _det([r[:n] for r in subset])
+        if d == 0:
+            continue
+        xs = [
+            _det([r[:j] + [r[n]] + r[j + 1:n] for r in subset]) for j in range(n)
+        ]
+        if d < 0:
+            d, xs = -d, [-x for x in xs]
+        if all(sum(a * x for a, x in zip(r, xs)) <= r[n] * d for r in scaled):
+            v = sum(c * x for c, x in zip(obj, xs)) / d
+            if best is None or v > best:
+                best = v
     return best
 
 
@@ -116,7 +142,7 @@ def test_random_bounded_instances_match_vertex_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Float-guided maximize against the exact simplex it is proven against.
+# Seeded families in n = 1, 2, 3 against the brute-force vertex oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -198,21 +224,52 @@ def _case(rng, n, family):
     return obj, [rows[i] for i in order], [rhs[i] for i in order]
 
 
-class _CountingExact:
-    def __init__(self):
-        self.calls = 0
-        self.exact = lp._exact
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self.exact(*args)
-
-
 def _is_optimal_point(obj, rows, rhs, res):
-    x = res.point
-    return all(
-        sum(a * v for a, v in zip(r, x)) <= b for r, b in zip(rows, rhs)
-    ) and sum(c * v for c, v in zip(obj, x)) == res.value
+    return _feasible(rows, rhs, res.point) and (
+        sum(c * v for c, v in zip(obj, res.point)) == res.value
+    )
+
+
+# Integer entries in [-4, 4] and rhs in [-5, 5] put every coordinate of
+# every basic solution of an "unbounded" case (a ratio of minors, by
+# Cramer's rule) within 3! * 5 * 4^2 = 480 of 0, so a box
+# of radius 1000 holds a feasible point of every feasible case and an
+# optimal one of every bounded case; doubling it raises the optimum iff
+# the LP is unbounded.
+_FAR = 1000
+
+
+def _oracle_status(obj, rows, rhs):
+    """(status, value) of an LP without a box, from the vertex oracle on
+    the LP boxed at radius _FAR and at 2 * _FAR."""
+    near, far = (
+        _vertex_oracle(obj, rows + box[0], rhs + box[1])
+        for box in (_box(len(obj), _FAR), _box(len(obj), 2 * _FAR))
+    )
+    if near is None:
+        return lp.INFEASIBLE, None
+    if near == far:
+        return lp.OPTIMAL, near
+    return lp.UNBOUNDED, None
+
+
+def _check_against_oracle(obj, rows, rhs, family):
+    """The status, value and point of maximize, checked against the
+    oracle; returns the status."""
+    res = lp.maximize(obj, rows, rhs)
+    if family == "unbounded":
+        status, value = _oracle_status(obj, rows, rhs)
+    else:
+        value = _vertex_oracle(obj, rows, rhs)
+        status = lp.INFEASIBLE if value is None else lp.OPTIMAL
+    assert (res.status, res.value) == (status, value), (obj, rows, rhs)
+    if status == lp.OPTIMAL:
+        assert _is_optimal_point(obj, rows, rhs, res), (obj, rows, rhs)
+    elif status == lp.UNBOUNDED:
+        assert _feasible(rows, rhs, res.point), (obj, rows, rhs)
+    else:
+        assert res.point is None
+    return status
 
 
 EXACT_FAMILIES = (
@@ -222,103 +279,45 @@ EXACT_FAMILIES = (
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("family", EXACT_FAMILIES)
-def test_maximize_equals_exact_simplex(family, n, monkeypatch):
-    exact = _CountingExact()
-    monkeypatch.setattr(lp, "_exact", exact)
+def test_maximize_equals_exact_simplex(family, n):
+    """maximize gives the oracle's exact status and value, and an optimal
+    (or, when unbounded, a feasible) point."""
     rng = random.Random(f"lp-{family}-{n}")
-    statuses = set()
-    for _ in range(120):
-        obj, rows, rhs = _case(rng, n, family)
-        want = exact.exact(obj, rows, rhs)
-        assert lp.maximize(obj, rows, rhs) == want, (obj, rows, rhs)
-        statuses.add(want.status)
+    statuses = {
+        _check_against_oracle(*_case(rng, n, family), family) for _ in range(120)
+    }
     assert statuses >= {
         "infeasible": {lp.INFEASIBLE},
         "unbounded": {lp.UNBOUNDED},
     }.get(family, {lp.OPTIMAL})
-    if family == "unbounded":
-        # only the exact run answers UNBOUNDED
-        assert exact.calls >= 1
-    else:
-        # on well-scaled data every float basis is proven
-        assert exact.calls == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_maximize_ill_scaled_rows(n, monkeypatch):
-    """Floats misjudge 1e-15 next to 1 and 1e12 numerators.  Status and
-    value always match the exact simplex; a wrong float basis is caught
-    by its certificate and the exact run answers.  Where the optimum is
-    not unique, a float run that took another path can end on another
-    optimal vertex: the point is then checked to be optimal."""
-    exact = _CountingExact()
-    monkeypatch.setattr(lp, "_exact", exact)
+def test_maximize_ill_scaled_rows(n):
+    """1e-15 next to 1, 1e12 numerators and nearly parallel twins: in
+    exact arithmetic they are ordinary data."""
     rng = random.Random(f"lp-ill-scaled-{n}")
-    same_point = 0
     for _ in range(200):
-        obj, rows, rhs = _case(rng, n, "ill-scaled")
-        want = exact.exact(obj, rows, rhs)
-        got = lp.maximize(obj, rows, rhs)
-        assert (got.status, got.value) == (want.status, want.value), (obj, rows, rhs)
-        if got.point == want.point:
-            same_point += 1
-        else:
-            assert _is_optimal_point(obj, rows, rhs, got), (obj, rows, rhs)
-    assert exact.calls >= 20  # the float guidance really was wrong
-    assert same_point >= 190
-
-
-BOX_ROWS = [[F(1), F(0)], [F(-1), F(0)], [F(0), F(1)], [F(0), F(-1)]]
-BOX_RHS = [F(2), F(1), F(3), F(1)]
-
-
-@pytest.mark.parametrize(
-    "obj, rows, rhs, guess",
-    [
-        # the all-slack basis is feasible but not optimal
-        ([F(1), F(1)], BOX_ROWS, BOX_RHS, (lp.OPTIMAL, [4, 5, 6, 7])),
-        # the vertex (-1, -1): feasible, but its duals are negative
-        ([F(1), F(1)], BOX_ROWS, BOX_RHS, (lp.OPTIMAL, [4, 2, 6, 3])),
-        # the vertex (2, 3) violates x + y <= 4
-        ([F(1), F(1)], BOX_ROWS + [[F(1), F(1)]], BOX_RHS + [F(4)], (lp.OPTIMAL, [0, 1, 5, 7, 8])),
-        # "infeasible" for a feasible LP that needs an artificial
-        ([F(-1)], [[F(-1)], [F(1)]], [F(-1), F(4)], (lp.INFEASIBLE, [4, 3])),
-        # x+ and x- of one variable both basic; a singular basis
-        ([F(1), F(1)], BOX_ROWS, BOX_RHS, (lp.OPTIMAL, [0, 2, 6, 7])),
-        ([F(1), F(1)], BOX_ROWS, BOX_RHS, (lp.OPTIMAL, [0, 1, 6, 7])),
-    ],
-)
-def test_wrong_float_basis_falls_back_to_exact(obj, rows, rhs, guess, monkeypatch):
-    exact = _CountingExact()
-    monkeypatch.setattr(lp, "_exact", exact)
-    monkeypatch.setattr(lp, "_float_basis", lambda *args: guess)
-    assert lp.maximize(obj, rows, rhs) == exact.exact(obj, rows, rhs)
-    assert exact.calls == 1
+        _check_against_oracle(*_case(rng, n, "ill-scaled"), "ill-scaled")
 
 
 _OPTIMIZED_SCRIPT = r"""
 from fractions import Fraction as F
 from polybisim import lp
+from polybisim.errors import InternalError
 
 if __debug__:
     raise SystemExit("asserts are not stripped")
-exact, fallbacks = lp._exact, []
-lp._exact = lambda *a: fallbacks.append(1) or exact(*a)
 box = ([[F(1), F(0)], [F(-1), F(0)], [F(0), F(1)], [F(0), F(-1)]],
        [F(2), F(1), F(3), F(1)])
-print(lp.maximize([F(1), F(1)], *box))                             # certified
-print(lp.maximize([F(1)], [[F(1)], [F(-1)]], [F(0), F(-1)]))       # Farkas
+print(lp.maximize([F(1), F(1)], *box))                             # optimal
+print(lp.maximize([F(1)], [[F(1)], [F(-1)]], [F(0), F(-1)]))       # infeasible
 print(lp.maximize([F(1)], [[F(-1)]], [F(0)]))                      # unbounded
-real = lp._float_basis
-lp._float_basis = lambda *a: (lp.OPTIMAL, [4, 5, 6, 7])
-print(lp.maximize([F(1), F(1)], *box))                             # wrong basis
-lp._float_basis = real
-print(len(fallbacks))
 lp._pivot_until_done = lambda *a, **k: lp.UNBOUNDED
 try:
-    exact([F(-1)], [[F(-1)]], [F(-1)])
-except AssertionError as exc:
-    print("AssertionError:", exc)
+    lp.maximize([F(-1)], [[F(-1)]], [F(-1)])
+except InternalError as exc:
+    print("InternalError:", exc)
 """
 
 
@@ -329,12 +328,9 @@ def test_answers_and_invariants_survive_python_O():
         [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    box = lp.LPResult(lp.OPTIMAL, F(5), (F(2), F(3)))
     assert out == [
-        repr(box),
+        repr(lp.LPResult(lp.OPTIMAL, F(5), (F(2), F(3)))),
         repr(lp.LPResult(lp.INFEASIBLE, None, None)),
         repr(lp.LPResult(lp.UNBOUNDED, None, (F(0),))),
-        repr(box),
-        "2",
-        "AssertionError: phase 1 reported an unbounded objective, which is bounded by 0",
+        "InternalError: phase 1 reported an unbounded objective, which is bounded by 0",
     ]

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from polybisim.geometry import contains_point, region_contains_point, vec
+from polybisim import lp
+from polybisim.geometry import _rank, contains_point, region_contains_point, vec
 from polybisim.lyapunov import (
     LevelSequence,
     LinearSystem,
@@ -56,6 +57,14 @@ def test_validation_errors():
         LinearSystem.of([["1", "0"]])  # non-square
 
 
+def test_zero_row_of_l_is_rejected():
+    # full column rank, so only the zero-row check catches it
+    with pytest.raises(ValueError, match="zero row"):
+        PolyhedralLF.of([["1"], ["0"]], "0.5")
+    with pytest.raises(ValueError, match="zero row"):
+        PolyhedralLF.of([["1", "0"], ["0", "0"], ["0", "1"]], "0.5")
+
+
 def test_contraction_rate_diagonal_system():
     sys = LinearSystem.of([["0.5", "0"], ["0", "0.25"]])
     lf = PolyhedralLF.of([["1", "0"], ["0", "1"]], "0.6")
@@ -77,8 +86,67 @@ def test_contraction_rate_is_tight_bound():
             sum(r[j] * x[j] for j in range(2)) for r in sys.a_matrix
         )
         assert lf_value(lf, ax) <= rho_star * lf_value(lf, x)
-    # and it is attained: each row maximum comes from an actual LP optimum
+    # and it is attained: each row maximum is the row's value at a vertex
+    # of the unit ball
     assert rho_star in unit_ball_row_maxima(lf, sys)
+
+
+def _random_entry(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+
+
+def _random_lf(rng, n, extra):
+    """A full-column-rank L with n rows, then up to `extra` redundant
+    rows: convex mixes of two rows and multiples k <= 1 of one row (k = 1
+    repeats it)."""
+    while True:
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if _rank(rows) == n:
+            break
+    for _ in range(extra):
+        r, s = rng.choice(rows), rng.choice(rows)
+        if rng.random() < 0.5:
+            t = Fraction(rng.randint(1, 4), 5)
+            new = [t * a + (1 - t) * b for a, b in zip(r, s)]
+        else:
+            k = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+            new = [k * a for a in r]
+        if any(new):
+            rows.insert(rng.randint(0, len(rows)), new)
+    return PolyhedralLF.of(rows, "0.5")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_maxima_equal_the_lp_maxima(n):
+    """The vertex maxima equal an exact LP's optimum of each row of
+    [LA; -LA] over the 2l rows of the unit ball, with redundant L rows,
+    fractional entries and A = 0."""
+    rng = random.Random(f"row-maxima-{n}")
+    square = redundant = zero_a = 0
+    for case in range(40):
+        lf = _random_lf(rng, n, 0 if case % 4 == 1 else rng.randint(1, 3))
+        if case % 8 == 0:
+            a = [[0] * n for _ in range(n)]
+            zero_a += 1
+        else:
+            a = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+        system = LinearSystem.of(a)
+        ball = [tuple(r) for r in lf.l_matrix] + [
+            tuple(-v for v in r) for r in lf.l_matrix
+        ]
+        la = [
+            [sum(r[i] * system.a_matrix[i][j] for i in range(n)) for j in range(n)]
+            for r in lf.l_matrix
+        ]
+        expected = []
+        for row in la + [[-v for v in r] for r in la]:
+            res = lp.maximize(row, ball, [F(1)] * len(ball))
+            assert res.status == lp.OPTIMAL
+            expected.append(res.value)
+        assert unit_ball_row_maxima(lf, system) == expected
+        square += lf.n_rows == n
+        redundant += lf.n_rows > n
+    assert square >= 10 and redundant >= 20 and zero_a == 5
 
 
 def test_level_sequence_structure():

@@ -5,6 +5,7 @@ import sys
 import traceback
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -212,10 +213,10 @@ def one_slice_doc():
 
 def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     """load_problem + run_pipeline cut X \\ D only where it is a slice
-    (inside ``lyapunov.slices``, once), solve the contraction LPs once, and
-    prove the box of X and of D once each.  Neither X nor D is proven
-    non-empty by an LP: the target block's sample is the centroid of D's
-    vertices."""
+    (inside ``lyapunov.slices``, once), compute the contraction rates
+    once, and prove the box of X and of D once each.  Neither X nor D is
+    proven non-empty by an LP: the target block's sample is the centroid
+    of D's vertices."""
     names = {}
     counts = Counter()
     real = {
@@ -276,6 +277,24 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
             "X box": 1,
             "D box": 1,
         })
+
+
+def test_load_and_run_solve_no_lp_but_lower_face_ties(tmp_path, lp_calls):
+    """Rates come from the unit ball's vertices and the cells decide from
+    their vertices, so load_problem + run_pipeline of a one-slice problem
+    solve no LP at all.  On two_slice_2d the only LPs are the greedy
+    emptiness LPs of ``remove_redundancy`` for strict rows that touch a
+    block on a lower face: each has n + 1 columns, the point and its
+    margin."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(one_slice_doc()))
+    golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
+    for problem, lps in ((path, 0), (golden, 4)):
+        lp_calls.clear()
+        result = run_pipeline(load_problem(problem))
+        assert result.exit_code == 0
+        assert len(lp_calls) == lps
+        assert all(len(objective) == 3 for objective, _, _ in lp_calls)
 
 
 def test_validated_regions_are_proven_again_for_other_sets():
