@@ -1,11 +1,11 @@
 # Verifying an LTL formula on the quotient.
 #
 # This demo shows the automaton path: the formula is translated to a
-# Buchi automaton with a tableau construction, the automaton is
+# generalized Buchi automaton with a tableau construction, the automaton is
 # synchronized with the quotient, and the satisfying states are those
-# whose runs keep visiting the self-reaching accepting core.  Because the
-# quotient is a bisimulation, the verdict for a block transfers to every
-# concrete state inside it.
+# with an accepting run, one that visits every acceptance set infinitely
+# often.  Because the quotient is a bisimulation, the verdict for a block
+# transfers to every concrete state inside it.
 #
 # run_pipeline does not build an automaton.  It calls label_quotient,
 # which labels the deterministic quotient state by state; the automaton

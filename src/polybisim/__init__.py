@@ -56,7 +56,6 @@ from .verify import (
     ProductAutomaton,
     SatisfyingSet,
     f_star,
-    f_star_scc,
     label_quotient,
     product,
     satisfying_states,

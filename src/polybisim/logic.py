@@ -5,10 +5,11 @@ translation.
 finite structure in which every position has one successor.  It checks
 formulas on the deterministic quotient (``verify.label_quotient``, the
 pipeline's path) and, through ``eval_ltl_lasso``, on ultimately-periodic
-words.  The translation is negation normal form, tableau expansion to a
-generalized Buchi automaton, then counter-based degeneralization.  It
-never touches the labeller, so the automaton path is the labeller's
-independent check and the labeller is the translation's.
+words.  The translation is negation normal form, then tableau expansion
+to a generalized Buchi automaton with one acceptance set per Until: a run
+accepts when it visits every set infinitely often.  It never touches the
+labeller, so the automaton path is the labeller's independent check and
+the labeller is the translation's.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
 
 
 # --------------------------------------------------------------------------
-# Tableau translation to a Buchi automaton
+# Tableau translation to a generalized Buchi automaton
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -333,10 +334,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class BuchiAutomaton:
+    """A run accepts when it visits every set of ``acceptance`` infinitely
+    often; ``()`` means every infinite run accepts."""
+
     states: tuple[int, ...]
     initial: frozenset
     edges: dict[int, tuple[Edge, ...]]
-    accepting: frozenset
+    acceptance: tuple[frozenset, ...]
     atoms: frozenset
 
 
@@ -356,8 +360,9 @@ def _neg_literal(f: Formula) -> Formula:
 
 
 def _tableau(phi: Formula) -> list[_Node]:
-    """Classic tableau expansion; returns the node graph."""
-    nodes: list[_Node] = []
+    """Classic tableau expansion; returns the node graph.  A finished node
+    with the same old and next formulas as a kept one merges into it."""
+    kept: dict[tuple[frozenset, frozenset], _Node] = {}
     counter = [0]
 
     def fresh() -> int:
@@ -368,18 +373,12 @@ def _tableau(phi: Formula) -> list[_Node]:
     while stack:
         node = stack.pop()
         if not node.new:
-            twin = next(
-                (
-                    r
-                    for r in nodes
-                    if r.old == node.old and r.nxt == node.nxt
-                ),
-                None,
-            )
+            key = (frozenset(node.old), frozenset(node.nxt))
+            twin = kept.get(key)
             if twin is not None:
                 twin.incoming |= node.incoming
                 continue
-            nodes.append(node)
+            kept[key] = node
             stack.append(
                 _Node(fresh(), {node.name}, set(node.nxt), set(), set())
             )
@@ -429,86 +428,45 @@ def _tableau(phi: Formula) -> list[_Node]:
             stack.append(n2)
         else:
             raise TypeError(f"formula not in NNF: {f!r}")
-    return nodes
+    return list(kept.values())
 
 
 def to_buchi(f: Formula) -> BuchiAutomaton:
-    """Translate an LTL formula into a (nondeterministic) Buchi automaton.
+    """Translate an LTL formula into a generalized Buchi automaton.
 
-    States are tableau nodes plus a fresh initial state; the guard of an
-    edge is the literal set of its destination node.  Multiple acceptance
-    sets (one per Until subformula) are removed with a counter.
+    States are tableau nodes plus a fresh initial state 0; the guard of an
+    edge is the literal set of its destination node.  There is one
+    acceptance set per Until subformula u: the nodes that do not promise u
+    or already hold its right side.  A formula without Untils gets no set,
+    so every infinite run accepts.
     """
-    phi = nnf(f)
-    nodes = _tableau(phi)
+    nodes = _tableau(nnf(f))
     untils = sorted(
         {g for n in nodes for g in n.old if isinstance(g, Until)},
         key=str,
     )
-
-    def guard(node: _Node) -> tuple[frozenset, frozenset]:
-        pos = frozenset(
-            g.name for g in node.old if isinstance(g, Atom)
-        )
+    states = tuple([0] + sorted(n.name for n in nodes))
+    edges: dict[int, list[Edge]] = {s: [] for s in states}
+    for n in nodes:
+        pos = frozenset(g.name for g in n.old if isinstance(g, Atom))
         neg = frozenset(
             g.operand.name
-            for g in node.old
+            for g in n.old
             if isinstance(g, Not) and isinstance(g.operand, Atom)
         )
-        return pos, neg
-
-    accept_sets = [
+        for src in n.incoming:
+            edges[src].append(Edge(pos, neg, n.name))
+    acceptance = tuple(
         frozenset(
             n.name for n in nodes if u not in n.old or u.right in n.old
         )
         for u in untils
-    ]
-
-    raw_edges: dict[int, list[tuple[frozenset, frozenset, int]]] = {0: []}
-    for n in nodes:
-        raw_edges.setdefault(n.name, [])
-    for n in nodes:
-        pos, neg = guard(n)
-        for src in n.incoming:
-            raw_edges.setdefault(src, []).append((pos, neg, n.name))
-
-    k = len(accept_sets)
-    if k <= 1:
-        acc = accept_sets[0] if k == 1 else frozenset(
-            [0] + [n.name for n in nodes]
-        )
-        states = tuple([0] + sorted(n.name for n in nodes))
-        edges = {
-            s: tuple(Edge(p, ng, d) for p, ng, d in raw_edges.get(s, []))
-            for s in states
-        }
-        return BuchiAutomaton(
-            states, frozenset([0]), edges, frozenset(acc), frozenset(formula_atoms(f))
-        )
-
-    # Counter-based degeneralization: (state, j) waits for accept set j;
-    # a state is accepting when it sits at counter 0 inside set 0.
-    states = []
-    edges: dict = {}
-    accepting = set()
-    base_states = [0] + sorted(n.name for n in nodes)
-    for s in base_states:
-        for j in range(k):
-            states.append((s, j))
-    for s in base_states:
-        for j in range(k):
-            jn = (j + 1) % k if s in accept_sets[j] else j
-            edges[(s, j)] = tuple(
-                Edge(p, ng, (d, jn)) for p, ng, d in raw_edges.get(s, [])
-            )
-    for s in base_states:
-        if s in accept_sets[0]:
-            accepting.add((s, 0))
+    )
     return BuchiAutomaton(
-        tuple(states),
-        frozenset([(0, 0)]),
-        edges,
-        frozenset(accepting),
+        states,
+        frozenset([0]),
+        {s: tuple(e) for s, e in edges.items()},
+        acceptance,
         frozenset(formula_atoms(f)),
     )
 
@@ -566,10 +524,11 @@ def _sccs(graph: dict) -> list[list]:
 
 
 def lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
-    """Does some run over prefix.cycle^omega hit accepting states forever?
+    """Does some run over prefix.cycle^omega visit every acceptance set
+    infinitely often?
 
     Builds the finite product of the automaton with the word positions and
-    looks for a reachable cycle through an accepting automaton state.
+    looks for a reachable cyclic SCC that meets every acceptance set.
     """
     graph: dict = {}
     frontier = [(s, 0) for s in b.initial]
@@ -588,7 +547,9 @@ def lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
                     frontier.append(nxt)
     for comp in _sccs(graph):
         cyclic = len(comp) > 1 or comp[0] in graph[comp[0]]
-        if cyclic and any(s in b.accepting for s, _ in comp):
+        if cyclic and all(
+            any(s in acc for s, _ in comp) for acc in b.acceptance
+        ):
             return True
     return False
 

@@ -3,11 +3,11 @@
 ``label_quotient``, the pipeline's path, labels each state with
 ``logic.label`` from its letter and its one successor: no automaton.  The
 automaton path is its check: ``product`` synchronizes the quotient with a
-formula automaton on the fly, keeping only the pairs reachable from the
-initial pairings; the accepting core is the largest set of accepting
-product states each of which can reach another member in at least one
-step, and a state satisfies the formula exactly when the core is reachable
-from one of its initial pairings.
+generalized Buchi automaton on the fly, keeping only the pairs reachable
+from the initial pairings.  A product state has an accepting run when it
+reaches a cyclic strongly connected component that meets every acceptance
+set, and a quotient state satisfies the formula exactly when one of its
+initial pairings has an accepting run.
 """
 
 from __future__ import annotations
@@ -24,16 +24,18 @@ ProductState = tuple  # (quotient state, automaton state)
 
 @dataclass(frozen=True)
 class ProductAutomaton:
-    """``transitions`` has an entry for every state, possibly empty.
+    """``transitions`` has an entry for every state, possibly empty.  A run
+    accepts when it visits every set of ``acceptance`` infinitely often;
+    ``()`` means every infinite run accepts.
 
     ``product`` builds one whose states are exactly the pairs reachable
-    from ``initial``; the core routines below take any such graph.
+    from ``initial``; ``f_star`` takes any such graph.
     """
 
     states: tuple[ProductState, ...]
     initial: frozenset
     transitions: dict[ProductState, tuple[ProductState, ...]]
-    accepting: frozenset
+    acceptance: tuple[frozenset, ...]
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
     Edges fire on the source quotient state's observation letter.  The
     pairs are found by a worklist, so each guard is tested once per
     (observation, automaton state) actually reached.  Every kept pair has
-    the successors it has in the full product, so the accepting core
-    restricted to these pairs, and every satisfying set, are unchanged.
+    the successors it has in the full product, so which pairs have an
+    accepting run, and every satisfying set, are unchanged.
     """
     _check_atoms(quotient, b.atoms)
     states = [(q, s0) for q in quotient.states for s0 in sorted(b.initial)]
@@ -120,8 +122,11 @@ def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
             if pair not in seen:
                 seen.add(pair)
                 states.append(pair)
-    accepting = frozenset((q, s) for q, s in states if s in b.accepting)
-    return ProductAutomaton(tuple(states), initial, transitions, accepting)
+    acceptance = tuple(
+        frozenset(pair for pair in states if pair[1] in acc)
+        for acc in b.acceptance
+    )
+    return ProductAutomaton(tuple(states), initial, transitions, acceptance)
 
 
 def _predecessors(
@@ -147,21 +152,18 @@ def _backward_closure(seeds, preds) -> set:
     return seen
 
 
-def f_star_scc(p: ProductAutomaton) -> frozenset:
-    """The accepting core: accepting states that reach (in zero or more
-    steps) an accepting state lying on a cycle."""
-    graph = p.transitions
-    preds = _predecessors(graph, p.states)
-    cyclic_accepting = set()
-    for comp in _sccs(graph):
-        if len(comp) > 1 or comp[0] in graph[comp[0]]:
-            cyclic_accepting.update(s for s in comp if s in p.accepting)
-    reach = _backward_closure(cyclic_accepting, preds)
-    return frozenset(s for s in p.accepting if s in reach)
-
-
 def f_star(p: ProductAutomaton) -> frozenset:
-    return f_star_scc(p)
+    """The states with an accepting run: those with a path (of length
+    >= 0) into a cyclic strongly connected component that meets every
+    acceptance set."""
+    graph = p.transitions
+    fair = set()
+    for comp in _sccs(graph):
+        if (len(comp) > 1 or comp[0] in graph[comp[0]]) and all(
+            not acc.isdisjoint(comp) for acc in p.acceptance
+        ):
+            fair.update(comp)
+    return frozenset(_backward_closure(fair, _predecessors(graph, p.states)))
 
 
 def satisfying_states(
@@ -169,16 +171,11 @@ def satisfying_states(
     fstar: frozenset,
     partition: Optional[Partition] = None,
 ) -> SatisfyingSet:
-    """Quotient states with an initial pairing that reaches the core.
-
-    Zero-length paths count: an initial pairing already in the core
-    qualifies.  When a partition is supplied the union of the included
-    blocks' cells is attached as the answer region.
-    """
-    preds = _predecessors(p.transitions, p.states)
-    reach = _backward_closure(fstar, preds)
+    """Quotient states with an initial pairing in ``fstar``, the product
+    states with an accepting run; when a partition is supplied the union
+    of the included blocks' cells is attached as the answer region."""
     return _satisfying_set(
-        frozenset(q for (q, s) in p.initial if (q, s) in reach), partition
+        frozenset(q for q, s in p.initial if (q, s) in fstar), partition
     )
 
 

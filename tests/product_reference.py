@@ -1,8 +1,8 @@
 """Reference automaton routines that the package no longer carries: the
 full synchronized product over every (quotient state, automaton state)
-pair, and the greatest-fixpoint characterization of the accepting core.
-Tests compare the package's reachable product and ``f_star_scc`` with
-them."""
+pair, and the Emerson-Lei fixpoint characterization of the states with an
+accepting run.  Tests compare the package's reachable product and its
+SCC-based ``f_star`` with them."""
 
 from polybisim.verify import (
     ProductAutomaton,
@@ -33,25 +33,28 @@ def full_product(quotient, b):
             states.append((q, s))
             transitions[(q, s)] = tuple((q_next, d) for d in dsts[s])
     initial = frozenset((q, s0) for q in quotient.states for s0 in b.initial)
-    accepting = frozenset(
-        (q, s) for q in quotient.states for s in b.accepting
+    acceptance = tuple(
+        frozenset((q, s) for q in quotient.states for s in acc)
+        for acc in b.acceptance
     )
-    return ProductAutomaton(tuple(states), initial, transitions, accepting)
+    return ProductAutomaton(tuple(states), initial, transitions, acceptance)
 
 
 def f_star_fixpoint(p):
-    """Greatest fixpoint: repeatedly drop accepting states that cannot
-    reach a remaining member in one or more steps."""
+    """Greatest fixpoint  Z = nu Z. AND_j EX E[true U (Z & F_j)]  over the
+    acceptance sets F_j; with no sets, one set of every state, which makes
+    it EG true.  A member has, for each j, a path of one or more steps to a
+    member in F_j, so chaining them visits every set infinitely often."""
     preds = _predecessors(p.transitions, p.states)
-    core = set(p.accepting)
+    sets = p.acceptance or (frozenset(p.states),)
+    z = set(p.states)
     while True:
-        # states with a path of length >= 1 into the current core
-        one_step = set()
-        for m in core:
-            one_step.update(preds.get(m, ()))
-        can_reach = _backward_closure(one_step, preds)
-        # seeds already count as length >= 1; extend by closure over preds
-        keep = core & (one_step | can_reach)
-        if keep == core:
-            return frozenset(core)
-        core = keep
+        keep = set(z)
+        for acc in sets:
+            # states with a path of length >= 0 into Z & F_j ...
+            reach = _backward_closure(z & acc, preds)
+            # ... then one step in front of it
+            keep &= {x for r in reach for x in preds[r]}
+        if keep == z:
+            return frozenset(z)
+        z = keep

@@ -10,6 +10,8 @@ from polybisim.logic import (
     Always,
     And,
     Atom,
+    BuchiAutomaton,
+    Edge,
     Eventually,
     FalseF,
     Implies,
@@ -21,6 +23,7 @@ from polybisim.logic import (
     Release,
     TrueF,
     Until,
+    _tableau,
     eval_ltl_lasso,
     formula_atoms,
     lasso_accepts,
@@ -190,14 +193,42 @@ def test_translation_matches_oracle_reduced_sweep():
             assert lasso_accepts(nb, w) == (not expect)
 
 
-def test_multiple_untils_use_degeneralization():
-    # two Until subformulas force the counter construction
+def test_multiple_untils_give_one_acceptance_set_each():
+    # F a and F b are two Untils: two acceptance sets over the tableau
+    # nodes, which are the states besides the initial one
     f = parse_ltl("(F a) & (F b)")
     b = to_buchi(f)
+    assert len(b.acceptance) == 2
+    assert len(b.states) == len(_tableau(nnf(f))) + 1
     assert lasso_accepts(b, LassoWord((A,), (B,)))
     assert lasso_accepts(b, LassoWord((), (A, B)))
     assert not lasso_accepts(b, LassoWord((A,), (E,)))
     assert not lasso_accepts(b, LassoWord((), (B,)))
+
+
+def test_lasso_needs_a_cycle_through_every_acceptance_set():
+    # a first letter with a enters the cycle 3 <-> 4, which meets both
+    # sets; any other letter enters 1 <-> 2, which meets only the first
+    def step(dst, pos=E, neg=E):
+        return Edge(pos, neg, dst)
+
+    b = BuchiAutomaton(
+        (0, 1, 2, 3, 4),
+        frozenset({0}),
+        {
+            0: (step(1, neg=A), step(3, pos=A)),
+            1: (step(2),),
+            2: (step(1),),
+            3: (step(4),),
+            4: (step(3),),
+        },
+        (frozenset({1, 3}), frozenset({4})),
+        frozenset({"a"}),
+    )
+    assert lasso_accepts(b, LassoWord((A,), (E,)))
+    assert lasso_accepts(b, LassoWord((), (AB, B)))
+    assert not lasso_accepts(b, LassoWord((B,), (A,)))
+    assert not lasso_accepts(b, LassoWord((), (E,)))
 
 
 def test_until_with_true_right_side():

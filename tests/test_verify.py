@@ -1,4 +1,4 @@
-"""Product construction, the self-reaching accepting core, and the
+"""Product construction, the states with an accepting run, and the
 satisfying set; the reachable product against the full one; labelling the
 quotient against the automaton path; the exact bisimulation property of
 the quotients labelled."""
@@ -41,7 +41,6 @@ from polybisim.problem import load_problem
 from polybisim.verify import (
     ProductAutomaton,
     f_star,
-    f_star_scc,
     label_quotient,
     product,
     satisfying_states,
@@ -55,47 +54,69 @@ PROBLEMS = {
 }
 
 
-def automaton(edges, accepting):
-    """Tiny helper: edges as {state: (successors...)}."""
+def automaton(edges, *acceptance):
+    """Tiny helper: edges as {state: (successors...)}, then one iterable of
+    states per acceptance set."""
     states = tuple(edges)
     return ProductAutomaton(
         states,
         frozenset(states),
         {s: tuple(d) for s, d in edges.items()},
-        frozenset(accepting),
+        tuple(frozenset(acc) for acc in acceptance),
     )
 
 
 def test_core_cycle_of_accepting_states():
     p = automaton({"a": ("b",), "b": ("b",)}, {"a", "b"})
     assert f_star_fixpoint(p) == frozenset({"a", "b"})
-    assert f_star_scc(p) == frozenset({"a", "b"})
+    assert f_star(p) == frozenset({"a", "b"})
 
 
 def test_core_empty_on_acyclic_graph():
     p = automaton({"a": ("b",), "b": ("c",), "c": ()}, {"a", "b", "c"})
     assert f_star_fixpoint(p) == frozenset()
-    assert f_star_scc(p) == frozenset()
+    assert f_star(p) == frozenset()
 
 
 def test_core_accepting_state_off_cycle():
     # the only cycle is through a non-accepting state, so nothing survives
     p = automaton({"a": ("b",), "b": ("b",)}, {"a"})
     assert f_star_fixpoint(p) == frozenset()
-    assert f_star_scc(p) == frozenset()
+    assert f_star(p) == frozenset()
 
 
 def test_core_self_loop_singleton():
+    # b is not accepting but steps onto a's accepting self-loop
     p = automaton({"a": ("a",), "b": ("a",)}, {"a"})
-    assert f_star_fixpoint(p) == frozenset({"a"})
-    assert f_star_scc(p) == frozenset({"a"})
+    assert f_star_fixpoint(p) == frozenset({"a", "b"})
+    assert f_star(p) == frozenset({"a", "b"})
 
 
 def test_core_member_reached_through_nonmembers():
     # a reaches the accepting cycle at c through non-accepting b
     p = automaton({"a": ("b",), "b": ("c",), "c": ("c",)}, {"a", "c"})
-    assert f_star_fixpoint(p) == frozenset({"a", "c"})
-    assert f_star_scc(p) == frozenset({"a", "c"})
+    assert f_star_fixpoint(p) == frozenset({"a", "b", "c"})
+    assert f_star(p) == frozenset({"a", "b", "c"})
+
+
+def test_no_acceptance_set_accepts_every_infinite_run():
+    # with no set any cycle accepts: a and b reach the loop at c, d is stuck
+    p = automaton({"a": ("b", "d"), "b": ("c",), "c": ("c",), "d": ()})
+    assert f_star_fixpoint(p) == frozenset({"a", "b", "c"})
+    assert f_star(p) == frozenset({"a", "b", "c"})
+
+
+def test_a_cycle_must_meet_every_acceptance_set():
+    # the cycle b <-> c meets only the first set; the cycle d <-> e meets
+    # both, one set at each state, so only d, e and a (which can reach
+    # them) have an accepting run
+    p = automaton(
+        {"a": ("b", "d"), "b": ("c",), "c": ("b",), "d": ("e",), "e": ("d",)},
+        {"b", "d"},
+        {"e"},
+    )
+    assert f_star_fixpoint(p) == frozenset({"a", "d", "e"})
+    assert f_star(p) == frozenset({"a", "d", "e"})
 
 
 def test_dual_implementations_on_random_digraphs():
@@ -108,10 +129,12 @@ def test_dual_implementations_on_random_digraphs():
             )
             for i in range(n)
         }
-        accepting = {i for i in range(n) if rng.random() < 0.4}
-        p = automaton(edges, accepting)
-        assert f_star_fixpoint(p) == f_star_scc(p)
-        assert f_star(p) == f_star_scc(p)
+        acceptance = [
+            {i for i in range(n) if rng.random() < 0.4}
+            for _ in range(rng.randrange(4))
+        ]
+        p = automaton(edges, *acceptance)
+        assert f_star_fixpoint(p) == f_star(p)
 
 
 def _quotient_1d():
@@ -185,7 +208,9 @@ def _assert_reachable_product(quotient, b, p):
             for e in b.edges.get(s, ())
             if e.accepts(letter)
         )
-    assert p.accepting == {(q, s) for q, s in p.states if s in b.accepting}
+    assert p.acceptance == tuple(
+        {(q, s) for q, s in p.states if s in acc} for acc in b.acceptance
+    )
 
 
 def test_product_transition_structure():
@@ -209,7 +234,7 @@ def test_product_pairs_every_initial_automaton_state():
             2: (Edge(frozenset(), frozenset(), 2),),
             3: (Edge(frozenset(), frozenset(), 3),),
         },
-        frozenset({2, 3}),
+        (frozenset({2, 3}),),
         frozenset({"pid"}),
     )
     p = product(quotient, b)
@@ -327,7 +352,7 @@ def test_labelling_matches_the_automaton_path(name):
 
 def _nested_until(rng, atoms):
     """A chain of three or four Untils over literals, conjoined with a
-    recurrence: automata of about 30 to a few hundred states."""
+    recurrence: automata of four or five acceptance sets."""
     def lit():
         a = Atom(rng.choice(atoms))
         return Not(a) if rng.random() < 0.5 else a
@@ -350,10 +375,10 @@ def test_reachable_product_matches_the_full_product(name):
     rng = random.Random(59)
     formulas = [_random_formula(rng, atoms, rng.randint(1, 3)) for _ in range(60)]
     formulas += [_nested_until(rng, atoms) for _ in range(12)]
-    large = 0
+    many_sets = 0
     for f in formulas:
         b = to_buchi(f)
-        large += len(b.states) > 100
+        many_sets += len(b.acceptance) >= 4
         p, full = product(quotient, b), full_product(quotient, b)
         _assert_reachable_product(quotient, b, p)
         reached = frozenset(p.states)
@@ -364,7 +389,7 @@ def test_reachable_product_matches_the_full_product(name):
         assert sat.state_ids == want.state_ids, str(f)
         assert sat.region.cells == want.region.cells, str(f)
         assert label_quotient(quotient, f, partition) == sat, str(f)
-    assert large >= 3
+    assert many_sets >= 12
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
