@@ -38,9 +38,10 @@ corner = (Fraction(1), Fraction(1))
 print("corner in closed square:", contains_point(closed, corner))
 print("corner in open square:  ", contains_point(open_square, corner))
 
-# Emptiness is decided by an exact simplex LP.  The difference between
-# "x < 0 and x >= 0" and "x <= 0 and x >= 0" is one strict flag, and the
-# solver sees it.
+# Emptiness is decided exactly from the vertices of the closure: empty
+# iff there are none or a strict row is tight at all of them.  The
+# difference between "x < 0 and x >= 0" and "x <= 0 and x >= 0" is one
+# strict flag, and the rule sees it.
 empty = Cell(1, [constraint([1], 0, True), constraint([-1], 0)])
 point = Cell(1, [constraint([1], 0), constraint([-1], 0)])
 print("strict version empty:", is_empty(empty))

@@ -279,8 +279,8 @@ def find_pre(target: Region, sys: LinearSystem) -> Region:
     that already lie in X \\ D, so the preimage is not cut by it.  When A
     is invertible x -> Ax is a bijection: the preimage of a
     redundancy-free cell is redundancy-free, and it carries the cell's
-    vertices mapped by A^-1, which prove it non-empty with no LP.  A
-    singular A keeps the emptiness LP."""
+    vertices mapped by A^-1, which prove it non-empty.  Under a singular
+    A its Cramer box decides."""
     return Region.of(preimage_linear(tc, sys.a_matrix) for tc in target.cells)
 
 

@@ -19,7 +19,7 @@ invertible, and ``remove_redundancy`` hands them on.  A cell with no such
 source clips the corners of a parallelotope that contains it: the one its
 rows bound when they bound it from both sides along n independent
 directions (a box, a sublevel set ||Lx||_inf <= g), or else its bounding
-box, once that is known.  From the vertices, with no LP:
+box, once that is known.  From the vertices:
 
 - the bounding box is their minimum and maximum per coordinate;
 - the cell is empty iff R has no vertex or a strict row is tight at every
@@ -30,11 +30,11 @@ box, once that is known.  From the vertices, with no LP:
   facet (a row tight at n affinely independent vertices) that has no
   positive-multiple twin.
 
-The rest takes an LP as before: the emptiness and box of a cell with no
-vertices (an unbounded cell, or one with no source that has them, no
-opposite rows and no known box), and in ``remove_redundancy`` the
-greedy's emptiness LP for strict rows that touch R on a lower face, for
-twins, and for every row when R is flat or the cell has no vertices.
+A cell with no vertices to hand (unbounded, or with no source, no
+opposite rows and no known box) clips R to its Cramer box [-H, H]^n,
+which holds a point of the cell if it has one (``_cramer_vertices``),
+and the same rule decides it; a side of its box is open where R's
+recession cone has a ray along it.  No LP is solved.
 
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
@@ -55,7 +55,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from . import lp
 from .errors import InternalError
 
 Vector = tuple[Fraction, ...]
@@ -126,7 +125,7 @@ class Cell:
         self._sample: Optional[Vector] = None
         self._bbox = None
         self._rows = None
-        # None: not computed yet; False: none (the closure is unbounded)
+        # None: not computed or no source (the Cramer box decides); False: unbounded
         self._verts = None
         self._src = None
         self._pieces = None
@@ -153,51 +152,22 @@ class Region:
         return not self.cells
 
 
-def _slack_lp(cell: Cell) -> lp.LPResult:
-    """Maximize the margin t (capped at 1) by which all constraints hold.
-
-    Strict rows get  normal.x + t <= offset, non-strict rows are used as
-    stated.  The cell is non-empty iff the optimum is strictly positive;
-    the optimal point is then in the relative interior with respect to the
-    strict constraints.
-    """
-    n = cell.dim
-    rows = []
-    rhs = []
-    for c in cell.constraints:
-        coef = _ONE if c.strict else _ZERO
-        rows.append(list(c.normal) + [coef])
-        rhs.append(c.offset)
-    rows.append([_ZERO] * n + [-_ONE])  # t >= 0
-    rhs.append(_ZERO)
-    rows.append([_ZERO] * n + [_ONE])  # t <= 1, keeps the LP bounded
-    rhs.append(_ONE)
-    objective = [_ZERO] * n + [_ONE]
-    return lp.maximize(objective, rows, rhs)
-
-
 def is_empty(cell: Cell) -> bool:
-    """Decided from the vertices when the cell has them: empty iff there
-    are none or a strict row is tight at all of them, with their centroid
-    as the sample otherwise.  A cell without vertices solves an LP."""
+    """Empty iff R's vertices (clipped to the Cramer box when the cell has
+    none to hand) are none or a strict row is tight at all of them, with
+    their centroid as the sample otherwise."""
     if cell._empty is None:
         verts = _vertices(cell)
         if verts is None:
-            res = _slack_lp(cell)
-            if res.status == lp.INFEASIBLE or res.value <= 0:
-                cell._empty = True
-            else:
-                cell._empty = False
-                cell._sample = res.point[: cell.dim]
-        else:
-            tight = -1
-            for _, _, z in verts:
-                tight &= z
-            cell._empty = not verts or any(
-                c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
-            )
-            if not cell._empty:
-                cell._sample = _centroid(verts, cell.dim)
+            verts = _cramer_vertices(cell)
+        tight = -1
+        for _, _, z in verts:
+            tight &= z
+        cell._empty = not verts or any(
+            c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
+        )
+        if not cell._empty:
+            cell._sample = _centroid(verts, cell.dim)
     return cell._empty
 
 
@@ -392,7 +362,7 @@ def remove_redundancy(cell: Cell) -> Cell:
 
     A greedy walks the distinct rows in order and drops each row whose
     negation meets none of the rows still kept or not yet walked: one
-    emptiness LP per row that the vertices do not decide.  On a cell whose
+    emptiness test per row that the vertices do not decide.  On a cell whose
     relaxed closure R is full-dimensional (so the cell is non-empty and R
     is its closure) the vertices decide, before the greedy and leaving
     every greedy decision as it is:
@@ -405,7 +375,8 @@ def remove_redundancy(cell: Cell) -> Cell:
     - a non-strict row that is not a facet leaves R, and so the cell,
       unchanged when it goes, with every facet still present: dropped.
 
-    Strict rows that touch R on a lower face, and twins, take the LP.
+    Strict rows that touch R on a lower face, and twins, take the
+    greedy's test, on a cell that its Cramer box decides.
 
     The cached emptiness and sample carry over.  A non-empty cell's R is
     its closure whichever rows denote it, so its box, vertices (with their
@@ -418,7 +389,7 @@ def remove_redundancy(cell: Cell) -> Cell:
     for i, c in enumerate(cell.constraints):
         first.setdefault(c, i)
     kept = list(first.values())  # the distinct rows, by index
-    keep: list[Optional[bool]] = [None] * len(kept)  # None: the LP decides
+    keep: list[Optional[bool]] = [None] * len(kept)  # None: the greedy decides
     rows = cell.constraints
     verts = _vertices(cell)
     if verts and not is_empty(cell) and _spans(verts, n):
@@ -475,13 +446,13 @@ def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fractio
 
     A cell whose every row bounds a single coordinate reads the box off
     its tightest bounds, a cell with vertices takes their minimum and
-    maximum, and any other cell solves 2n LPs over the closure.
+    maximum, and any other cell takes ``_cramer_box``.
     """
     if cell._bbox is None:
         box = _axis_box(cell)
         if box is None:
             verts = _vertices(cell)
-            box = _lp_box(cell) if verts is None else _vertex_box(verts, cell.dim)
+            box = _cramer_box(cell) if verts is None else _vertex_box(verts, cell.dim)
         cell._bbox = box
     return cell._bbox
 
@@ -510,22 +481,23 @@ def _empty_box(dim: int):
     return tuple((_ZERO, -_ONE) for _ in range(dim))
 
 
-def _lp_box(cell: Cell):
-    """The box from 2n LPs over the closure."""
-    rows = [list(c.normal) for c in cell.constraints]
-    rhs = [c.offset for c in cell.constraints]
-    box = []
-    for j in range(cell.dim):
-        bounds = []
-        for sign in (_ONE, -_ONE):
-            obj = [_ZERO] * cell.dim
-            obj[j] = sign
-            res = lp.maximize(obj, rows, rhs)
-            if res.status == lp.INFEASIBLE:
-                return _empty_box(cell.dim)
-            bounds.append(None if res.status == lp.UNBOUNDED else sign * res.value)
-        box.append((bounds[1], bounds[0]))
-    return tuple(box)
+def _cramer_box(cell: Cell):
+    """R's box from its vertices in the Cramer box, which hold R's bounds;
+    a side is open where R's recession cone {A d <= 0} has a ray along it."""
+    verts = _cramer_vertices(cell)
+    if not verts:
+        return _empty_box(cell.dim)
+    n = cell.dim
+    cone = [Constraint(c.normal, _ZERO) for c in cell.constraints]
+
+    def ray(j: int, sign: int) -> bool:  # a direction d with sign * d_j > 0
+        normal = vec(-sign * (i == j) for i in range(n))
+        return not is_empty(Cell(n, cone + [Constraint(normal, _ZERO, True)]))
+
+    return tuple(
+        (None if ray(j, -1) else lo, None if ray(j, 1) else hi)
+        for j, (lo, hi) in enumerate(_vertex_box(verts, n))
+    )
 
 
 def _vertex_box(verts, dim: int):
@@ -616,21 +588,43 @@ def _slab_vertices(cell: Cell):
 
 
 def _box_vertices(cell: Cell, box):
-    """The vertices of a cell from its box, whose rows x_j <= hi_j and
-    x_j >= lo_j get bits k + 2j and k + 2j + 1 past the cell's k rows.
-    False for an unbounded box."""
+    """The vertices of a cell from its box; False for an unbounded box."""
     if any(v is None for side in box for v in side):
         return False
+    verts = _clipped_to_box(cell, box)
+    if not verts and all(lo <= hi for lo, hi in box):
+        raise InternalError("a cell with a non-empty box has no vertex")
+    return verts
+
+
+def _cramer_vertices(cell: Cell) -> tuple:
+    """The vertices of R clipped to [-H, H]^n, H = (n+1)^ceil((n+1)/2)
+    K^(n+1) for K the largest absolute entry of the integer rows (>= 1,
+    as a normal is non-zero) and of the margin column.
+    The cell has a point iff A.x + s t <= B, 0 <= t <= 1 has a solution
+    with t > 0 (s_i = 1 on a strict row: the margin column t).  Then t's
+    maximum is attained at a Cramer's-rule solution of a non-singular
+    subsystem (Schrijver 1986, section 10), each |x_j| at most a
+    determinant of order <= n + 1 with entries <= K, so at most H
+    (Hadamard): a point of the box with every strict row slack.  R's
+    minimum and maximum of each coordinate it bounds lie in the box too."""
+    n = cell.dim
+    k = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
+    h = (n + 1) ** ((n + 2) // 2) * k ** (n + 1)
+    return _clipped_to_box(cell, ((-h, h),) * n)
+
+
+def _clipped_to_box(cell: Cell, box) -> tuple:
+    """The vertices of the cell's relaxed closure cut by a bounded box,
+    whose rows x_j <= hi_j and x_j >= lo_j get bits k + 2j and k + 2j + 1
+    past the cell's k rows."""
     k, n = len(cell.constraints), cell.dim
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     bounds = [
         ((lo, 1 << (k + 2 * j + 1)), (hi, 1 << (k + 2 * j)))
         for j, (lo, hi) in enumerate(box)
     ]
-    verts = _parallelotope_vertices(cell, units, bounds)
-    if not verts and all(lo <= hi for lo, hi in box):
-        raise InternalError("a cell with a non-empty box has no vertex")
-    return verts
+    return _parallelotope_vertices(cell, units, bounds)
 
 
 def _parallelotope_vertices(cell: Cell, directions, bounds) -> tuple:

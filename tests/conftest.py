@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from polybisim import build_quotient, load_problem, lp
+from polybisim import build_quotient, geometry, load_problem, lp
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -53,4 +53,19 @@ def lp_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(lp, "maximize", maximize)
+    return calls
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """A list that grows by one for every cell that its Cramer box
+    decides (a cell with no vertices to hand) while the test runs."""
+    calls = []
+    real = geometry._cramer_vertices
+
+    def cramer_vertices(cell):
+        calls.append(cell.constraints)
+        return real(cell)
+
+    monkeypatch.setattr(geometry, "_cramer_vertices", cramer_vertices)
     return calls

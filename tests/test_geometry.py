@@ -32,6 +32,7 @@ from polybisim.geometry import (
     split,
     vec,
 )
+from lp_reference import lp_box
 
 
 _ZERO = Fraction(0)
@@ -340,16 +341,16 @@ def test_difference_matches_pruned_complement_reference(n):
             assert hits == int(expect)
 
 
-def test_difference_solves_no_lp_for_complement_pieces(lp_calls):
+def test_difference_solves_no_lp_for_complement_pieces(fallbacks):
     a, b = box2(0, 2), box2(1, 3)
     for cell in (a, b):
         bounding_box(cell)
-    lp_calls.clear()
+    fallbacks.clear()
     d = difference(Region((a,)), Region((b,)))
     # both boxes carry their corners, so the meet test and every complement
     # piece of b (x < 1, x >= 1 with y < 1, and the empty x > 3 and y > 3)
-    # are decided by clipping a's vertices: no LP
-    assert lp_calls == []
+    # are decided by clipping a's vertices: no LP, no Cramer box
+    assert fallbacks == []
     assert len(d.cells) == 2
 
 
@@ -366,21 +367,21 @@ def test_difference_solves_no_lp_for_complement_pieces(lp_calls):
         ([constraint([1, 0], 2), constraint([0, 1], 1)], 1),
     ],
 )
-def test_difference_decides_face_contacts_at_vertices(lp_calls, rows, cells):
+def test_difference_decides_face_contacts_at_vertices(fallbacks, rows, cells):
     a, b = Region((box2(0, 2),)), Region((Cell(2, rows),))
     for cell in a.cells + b.cells:
         bounding_box(cell)
-    lp_calls.clear()
+    fallbacks.clear()
     got = difference(a, b)
     # b is unbounded and has no vertices; a's corners decide every piece,
     # the flat ones on its faces too
-    assert lp_calls == []
+    assert fallbacks == []
     assert len(got.cells) == cells
     want = _difference_with_pruned_complement(a, b)
     assert [c.constraints for c in got.cells] == [c.constraints for c in want]
 
 
-def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(lp_calls):
+def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(fallbacks):
     rng = random.Random(29)
     checked = 0
     for _ in range(80):
@@ -389,9 +390,9 @@ def test_remove_redundancy_carries_the_box_of_a_non_empty_cell(lp_calls):
             continue
         box = bounding_box(cell)
         reduced = remove_redundancy(cell)
-        lp_calls.clear()
+        fallbacks.clear()
         assert bounding_box(reduced) == box
-        assert lp_calls == []
+        assert fallbacks == []
         assert bounding_box(Cell(reduced.dim, reduced.constraints)) == box
         checked += 1
     assert checked >= 40
@@ -579,7 +580,7 @@ def test_split_of_a_flat_cell(x, strict, parts):
     assert (len(inside), len(outside)) == parts
 
 
-def test_split_decides_each_intersection_once(lp_calls, monkeypatch):
+def test_split_decides_each_intersection_once(fallbacks, monkeypatch):
     cell = box2(0, 2)
     far = box2(5, 6)  # its box misses the cell's box: not tested
     meets = box2(1, 3)
@@ -597,14 +598,14 @@ def test_split_decides_each_intersection_once(lp_calls, monkeypatch):
         return real(c)
 
     monkeypatch.setattr(geometry, "is_empty", is_empty)
-    lp_calls.clear()
+    fallbacks.clear()
     inside, outside = split(cell, region)
     # the cell meets `meets` and becomes inside[0]; the four complement
     # pieces of `meets` cut the rest (x < 1 and x >= 1 with y < 1 stay,
     # x > 3 and y > 3 are empty); the cell misses `corner`, which is then
     # not tested against the rest's pieces.  The cell's corners decide all
-    # six, each once, with no LP
-    assert lp_calls == []
+    # six, each once, with no Cramer box
+    assert fallbacks == []
     assert len(decided) == len(set(decided)) == 6
     assert [c.constraints for c in inside] == [intersect(cell, meets).constraints]
     assert len(outside) == 2
@@ -614,7 +615,7 @@ def test_split_decides_each_intersection_once(lp_calls, monkeypatch):
 
 def _greedy_reference(cell):
     """remove_redundancy's rows as the plain greedy decides them: one
-    emptiness LP per distinct row, in order."""
+    emptiness test per distinct row, in order."""
     kept = list(dict.fromkeys(cell.constraints))
     i = 0
     while i < len(kept):
@@ -632,7 +633,7 @@ def _unit(n, j, sign=1):
 
 def _redundancy_case(rng, n):
     """(cell, kinds): a random cell with the rows that certificates must
-    leave to the LP, and the names of the kinds it holds."""
+    leave to the greedy, and the names of the kinds it holds."""
     kinds = set()
     lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
     rows = []
@@ -675,14 +676,14 @@ def _redundancy_case(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
+def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls, fallbacks):
     rng = random.Random(900 + n)
     seen = Counter()
     saved = Counter()
     for _ in range(150):
         cell, kinds = _redundancy_case(rng, n)
         want = _greedy_reference(cell)
-        greedy_lps = len(dict.fromkeys(cell.constraints))
+        greedy_tests = len(dict.fromkeys(cell.constraints))
         # the cell as a caller holds it: emptiness unknown, known, or with
         # its box, from which a bounded cell gets its vertices
         state = rng.choice(["unknown", "known", "own box"])
@@ -690,11 +691,11 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
             seen["empty" if is_empty(cell) else "non-empty"] += 1
         if state == "own box":
             bounding_box(cell)
-        lp_calls.clear()
+        fallbacks.clear()
         got = remove_redundancy(cell)
         assert list(got.constraints) == want
-        assert len(lp_calls) <= greedy_lps
-        saved[state] += greedy_lps - len(lp_calls)
+        assert len(fallbacks) <= greedy_tests
+        saved[state] += greedy_tests - len(fallbacks)
         seen[state] += 1
         seen.update(kinds)
         if cell._empty is False:
@@ -707,10 +708,12 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
     kinds = ["unbounded", "scaled twin", "strict twin", "reverse", "duplicate", "empty"]
     kinds += ["known", "own box", "unknown"] + ["corner"] * (n > 1)
     assert min(seen[k] for k in kinds) >= 5, seen
-    # LPs saved against the plain greedy: a cell whose rows bound it from
-    # both sides along n independent directions (every bounded 1-D cell)
-    # has its vertices whatever the caller knows, and any other bounded
-    # cell gets them from its box
+    assert lp_calls == []
+    # Cramer boxes saved against the plain greedy, whose every test cell
+    # with no vertex source takes one: a cell whose rows bound it from both
+    # sides along n independent directions (every bounded 1-D cell) has its
+    # vertices whatever the caller knows, and any other bounded cell gets
+    # them from its box
     assert dict(saved) == {
         1: {"unknown": 132, "known": 172, "own box": 185},
         2: {"unknown": 167, "known": 192, "own box": 251},
@@ -718,7 +721,7 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls):
     }[n]
 
 
-def test_remove_redundancy_lp_count(lp_calls):
+def test_remove_redundancy_cramer_box_count(lp_calls, fallbacks):
     # the diamond |x| + |y| <= 2 with a row beyond its box, a duplicate, a
     # scaled twin of x + y <= 2, and x + 2y <= 4, which touches it at (0, 2)
     diamond = [constraint([a, b], 2) for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
@@ -728,38 +731,40 @@ def test_remove_redundancy_lp_count(lp_calls):
     assert not is_empty(cell)
     # x + y and x - y are bounded from both sides: the parallelotope they
     # bound, clipped by every row, gives the diamond's four vertices and
-    # its box with no LP
-    lp_calls.clear()
+    # its box with no Cramer box
+    fallbacks.clear()
     assert bounding_box(cell) == ((-2, 2), (-2, 2))
     got = remove_redundancy(cell)
     # x <= 3 is slack at all of
     # them: dropped.  x - y, -x + y and -x - y are each tight at two
     # vertices with no twin: kept.  x + 2y is non-strict and tight at
     # (0, 2) alone: dropped.  x + y and its twin 2x + 2y tie, so the
-    # greedy tests them: x + y takes one LP (dropped, the twin is there),
-    # and the twin's test cell, bounded by x - y and x + y from both sides,
-    # is decided by its own vertices (kept).  The plain greedy takes seven
-    assert len(lp_calls) == 1
+    # greedy tests them: x + y's test cell has no vertex source and takes
+    # its Cramer box (dropped, the twin is there), and the twin's test
+    # cell, bounded by x - y and x + y from both sides, is decided by its
+    # own vertices (kept).  The plain greedy takes seven tests
+    assert len(fallbacks) == 1
     assert list(got.constraints) == diamond[1:] + [twin]
     assert list(got.constraints) == _greedy_reference(cell)
     assert geometry.vertices(got) == geometry.vertices(cell)
     # a triangle has no opposite rows: until its box is known it has no
-    # vertices, and the greedy takes one LP per row; with its box (4 LPs)
-    # it takes none
+    # vertices, and the greedy takes one Cramer box per row; with its box
+    # (from its own Cramer box) it takes none
     triangle = [constraint([-1, 0], 0), constraint([0, -1], 0), constraint([1, 1], 2)]
     triangle.append(constraint([1, 1], 3))
-    for boxed, lps in ((False, 4), (True, 0)):
+    for boxed, boxes in ((False, 4), (True, 0)):
         cell = Cell(2, triangle)
         if boxed:
             bounding_box(cell)
-        lp_calls.clear()
+        fallbacks.clear()
         got = remove_redundancy(cell)
-        assert len(lp_calls) == lps
+        assert len(fallbacks) == boxes
         assert list(got.constraints) == triangle[:3] == _greedy_reference(cell)
         assert (got._bbox is None) is not boxed
+    assert lp_calls == []
 
 
-def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
+def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(fallbacks):
     cell = box2(1, 2)
     holds = box2(0, 2)  # holds on the whole box [1, 2]^2
     touches = box2(0, 2, strict=True)  # fails on its faces x = 2, y = 2
@@ -768,10 +773,9 @@ def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
         for c in (cell,) + region.cells:
             bounding_box(c)
         assert not is_empty(cell)
-        lp_calls.clear()
+        fallbacks.clear()
         inside, outside = split(cell, region)
-        lps = len(lp_calls)
-        assert lps == 0
+        assert fallbacks == []
         if rc is holds:
             # every row of rc holds at every corner of the cell: the
             # intersection is the cell, with its vertices, centroid and box
@@ -781,7 +785,7 @@ def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
             assert bounding_box(inside[0]) == bounding_box(cell)
         else:
             # the open box's rows x < 2 and y < 2 are tight at corners of
-            # the cell: its vertices are clipped, still with no LP
+            # the cell: its vertices are clipped, still with no Cramer box
             assert len(outside) == 2
         want_in, want_out = _split_reference(cell, region)
         assert [c.constraints for c in inside] == [c.constraints for c in want_in]
@@ -789,7 +793,7 @@ def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(lp_calls):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_axis_aligned_box_needs_no_lp(n, lp_calls):
+def test_axis_aligned_box_needs_no_lp(n, lp_calls, fallbacks):
     rng = random.Random(300 + n)
     seen = Counter()
     for _ in range(120):
@@ -804,8 +808,8 @@ def test_axis_aligned_box_needs_no_lp(n, lp_calls):
         cell = Cell(n, rows)
         lp_calls.clear()
         box = bounding_box(cell)
-        assert lp_calls == []
-        assert box == geometry._lp_box(Cell(n, rows))
+        assert lp_calls == [] and fallbacks == []
+        assert box == lp_box(Cell(n, rows))
         empty_closure = box == tuple((0, -1) for _ in range(n))
         seen["empty closure" if empty_closure else "box"] += 1
         seen["open side"] += any(v is None for side in box for v in side)

@@ -215,15 +215,15 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     """load_problem + run_pipeline cut X \\ D only where it is a slice
     (inside ``lyapunov.slices``, once), compute the contraction rates
     once, and prove the box of X and of D once each.  Neither X nor D is
-    proven non-empty by an LP: the target block's sample is the centroid
-    of D's vertices."""
+    proven non-empty by its Cramer box: the target block's sample is the
+    centroid of D's vertices."""
     names = {}
     counts = Counter()
     real = {
         "difference": geometry.difference,
         "bounding_box": geometry.bounding_box,
     }
-    real_slack_lp = geometry._slack_lp
+    real_cramer = geometry._cramer_vertices
     real_maxima = lyapunov.unit_ball_row_maxima
 
     def difference(a, b):
@@ -240,10 +240,10 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
             counts[names[cell.constraints] + " box"] += 1
         return real["bounding_box"](cell)
 
-    def slack_lp(cell):
+    def cramer_vertices(cell):
         if cell.constraints in names:
             counts[names[cell.constraints] + " emptiness"] += 1
-        return real_slack_lp(cell)
+        return real_cramer(cell)
 
     def unit_ball_row_maxima(lf, system):
         counts["row maxima"] += 1
@@ -255,7 +255,7 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
             for attr, fake in fakes.items():
                 if getattr(module, attr, None) is real[attr]:
                     monkeypatch.setattr(module, attr, fake)
-    monkeypatch.setattr(geometry, "_slack_lp", slack_lp)
+    monkeypatch.setattr(geometry, "_cramer_vertices", cramer_vertices)
     monkeypatch.setattr(lyapunov, "unit_ball_row_maxima", unit_ball_row_maxima)
 
     path = tmp_path / "p.json"
@@ -279,22 +279,72 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
         })
 
 
-def test_load_and_run_solve_no_lp_but_lower_face_ties(tmp_path, lp_calls):
+def _box_region(name, lo, hi):
+    """The region document of the box lo <= x <= hi."""
+    n = len(lo)
+    return {
+        "name": name,
+        "H": [[str(s * (j == i)) for j in range(n)] for i in range(n) for s in (1, -1)],
+        "h": [str(v) for i in range(n) for v in (Fraction(hi[i]), -Fraction(lo[i]))],
+    }
+
+
+def three_d_doc():
+    """The three_d problem of tests/test_verify.py: two slices, two regions."""
+    return {
+        "A": [["0.5", "0", "0"], ["0", "0.5", "-0.25"], ["0", "0.25", "0.5"]],
+        "L": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "rho": "0.75",
+        "gamma_D": "1",
+        "gamma_X": "1.5",
+        "regions": [
+            _box_region("r", ["1.1", -1, -1], ["1.5", 1, 1]),
+            _box_region("s", [-1, "-1.5", -1], [1, "-1.1", 1]),
+        ],
+        "formula": "G (r -> F s)",
+        "options": {"sample_count": 10},
+    }
+
+
+def rank_one_doc():
+    """The rank_one problem of tests/test_verify.py: A maps the plane onto
+    the diagonal, two slices."""
+    return {
+        "A": [["0.25", "0.25"], ["0.25", "0.25"]],
+        "L": [["1", "0"], ["0", "1"]],
+        "rho": "0.5",
+        "gamma_D": "1",
+        "gamma_X": "4",
+        "regions": [
+            _box_region("r", [2, -1], [3, 1]),
+            _box_region("s", [-1, "1.5"], [1, "3.5"]),
+        ],
+        "formula": "F r | G !s",
+        "options": {"sample_count": 10},
+    }
+
+
+def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
     """Rates come from the unit ball's vertices and the cells decide from
-    their vertices, so load_problem + run_pipeline of a one-slice problem
-    solve no LP at all.  On two_slice_2d the only LPs are the greedy
-    emptiness LPs of ``remove_redundancy`` for strict rows that touch a
-    block on a lower face: each has n + 1 columns, the point and its
-    margin."""
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(one_slice_doc()))
+    their vertices, or from their Cramer boxes, so load_problem +
+    run_pipeline solve no LP at all.  On two_slice_2d and three_d the
+    Cramer boxes decide only greedy tests of ``remove_redundancy`` that the
+    vertices leave open (on two_slice_2d, strict rows that touch a block
+    on a lower face); under the singular A of rank_one they also decide
+    the emptiness and box of the unbounded preimages."""
     golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
-    for problem, lps in ((path, 0), (golden, 4)):
+    problems = [(one_slice_doc(), 0), (golden, 4), (three_d_doc(), 9), (rank_one_doc(), 50)]
+    for k, (problem, boxes) in enumerate(problems):
+        if isinstance(problem, dict):
+            path = tmp_path / f"p{k}.json"
+            path.write_text(json.dumps(problem))
+            problem = path
         lp_calls.clear()
+        fallbacks.clear()
         result = run_pipeline(load_problem(problem))
         assert result.exit_code == 0
-        assert len(lp_calls) == lps
-        assert all(len(objective) == 3 for objective, _, _ in lp_calls)
+        assert lp_calls == []
+        assert len(fallbacks) == boxes
 
 
 def test_validated_regions_are_proven_again_for_other_sets():

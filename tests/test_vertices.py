@@ -1,12 +1,14 @@
-"""Vertex-carrying cells against the LP path.
+"""Vertex-carrying cells and Cramer boxes against the exact simplex.
 
 A bounded cell caches the vertices of its relaxed closure and decides its
-box, emptiness and most redundant rows from them.  These seeded tests
-compare every such answer with an independent one: the vertices with a
-brute-force intersection of every n rows, the box with ``_lp_box``,
-emptiness with ``_slack_lp``, and ``remove_redundancy`` with a greedy
-that solves one emptiness LP per row.  They also prove the paper
-fixture's transitions at the vertices of its blocks.
+box, emptiness and most redundant rows from them; a cell with none to
+hand decides them from its relaxed closure clipped to its Cramer box.
+These seeded tests compare every such answer with an independent one:
+the vertices with a brute-force intersection of every n rows, the box
+with ``lp_box``, emptiness with ``slack_lp`` (both in
+``tests/lp_reference.py``), and ``remove_redundancy`` with a greedy that
+solves one emptiness LP per row.  They also prove the paper fixture's
+transitions at the vertices of its blocks.
 """
 
 import random
@@ -16,7 +18,7 @@ from itertools import combinations
 
 import pytest
 
-from polybisim import geometry, lp
+from polybisim import geometry
 from polybisim.abstraction import find_pre
 from polybisim.geometry import (
     Cell,
@@ -35,12 +37,7 @@ from polybisim.geometry import (
     vertices,
 )
 from polybisim.lyapunov import LinearSystem
-
-
-def _lp_empty(cell):
-    """Emptiness from the slack LP on the bare rows, no cache involved."""
-    res = geometry._slack_lp(Cell(cell.dim, cell.constraints))
-    return res.status == lp.INFEASIBLE or res.value <= 0
+from lp_reference import lp_box, lp_empty
 
 
 def _lp_greedy(cell):
@@ -48,7 +45,7 @@ def _lp_greedy(cell):
     kept = list(dict.fromkeys(cell.constraints))
     i = 0
     while i < len(kept):
-        if _lp_empty(Cell(cell.dim, kept[:i] + kept[i + 1 :] + [kept[i].negated()])):
+        if lp_empty(Cell(cell.dim, kept[:i] + kept[i + 1 :] + [kept[i].negated()])):
             kept.pop(i)
         else:
             i += 1
@@ -98,12 +95,46 @@ def _unit(n, j, sign=1):
     return [sign * int(k == j) for k in range(n)]
 
 
+def _large_row(rng, n):
+    """A row whose entries have numerators near 10^6 and denominators near
+    10^3, its hyperplane within about 2 of the origin."""
+    def big():
+        numerator = rng.choice([-1, 1]) * rng.randrange(999000, 1001001)
+        return Fraction(numerator, rng.randrange(990, 1011))
+
+    normal = [big() if rng.random() < 0.7 else 0 for _ in range(n)]
+    if not any(normal):
+        normal[rng.randrange(n)] = big()
+    return constraint(normal, big() * rng.randrange(-2, 3), rng.random() < 0.3)
+
+
 def _case(rng, n):
     """(cell, kinds): random rows inside a box [lo, hi]^n (or no box), with
-    twins, flat pieces and strict rows through a corner of the box."""
+    twins, flat pieces, strict rows through a corner of the box, rows with
+    large coefficients, or every row strict.  Or, with no box: an open
+    cone (strict rows through the origin only), or lineality (rows along
+    fewer than n directions, opposite pairs among them)."""
     kinds = set()
+    shape = rng.random()
+    if shape < 0.1:
+        kinds.add("open cone")
+        rows = _random_rows(rng, n, rng.randrange(1, n + 2))
+        rows = [Constraint(c.normal, Fraction(0), True) for c in rows]
+        return Cell(n, rows), kinds
+    if shape < 0.2:
+        kinds.add("lineality")
+        rows = []
+        for _ in range(rng.randrange(n)):
+            d = _random_rows(rng, n, 1)[0].normal
+            rows.append(constraint(d, rng.randrange(0, 4), rng.random() < 0.3))
+            rows.append(constraint([-a for a in d], rng.randrange(-2, 4), rng.random() < 0.3))
+        rng.shuffle(rows)
+        return Cell(n, rows), kinds
     lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
     rows = _random_rows(rng, n, rng.randrange(1, 4))
+    if rng.random() < 0.15:
+        rows += [_large_row(rng, n) for _ in range(rng.randrange(1, 3))]
+        kinds.add("large coefficients")
     if rng.random() < 0.8:
         for j in range(n):
             rows.append(constraint(_unit(n, j), hi, rng.random() < 0.3))
@@ -129,6 +160,9 @@ def _case(rng, n):
         signs = [rng.choice([-1, 1]) for _ in range(n)]
         rows.append(constraint(signs, sum(s * (hi if s > 0 else lo) for s in signs), True))
         kinds.add("strict through a vertex")
+    if rng.random() < 0.15:
+        rows = [Constraint(c.normal, c.offset, True) for c in rows]
+        kinds.add("all strict")
     rng.shuffle(rows)
     return Cell(n, rows), kinds
 
@@ -157,7 +191,7 @@ def _incidence(cell, x, m):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_vertices_decide_what_the_lp_path_decides(n, lp_calls):
+def test_vertices_decide_what_the_lp_path_decides(n, lp_calls, fallbacks):
     rng = random.Random(1100 + n)
     seen = Counter()
     for _ in range(240):
@@ -185,19 +219,23 @@ def test_vertices_decide_what_the_lp_path_decides(n, lp_calls):
         )
 
         lp_calls.clear()
+        fallbacks.clear()
         verts = geometry._vertices(cell)
         box = bounding_box(cell)
         empty = is_empty(cell)
+        assert lp_calls == [], how
         if cached:
-            # a source with vertices decides all three with no LP
-            assert verts is not None and lp_calls == [], how
-        lp_box = geometry._lp_box(Cell(n, cell.constraints))
-        assert box == lp_box, how
-        assert empty == _lp_empty(cell), how
+            # a source with vertices decides all three with no Cramer box
+            assert verts is not None and fallbacks == [], how
+        if fallbacks:
+            seen["Cramer box"] += 1
+        want_box = lp_box(Cell(n, cell.constraints))
+        assert box == want_box, how
+        assert empty == lp_empty(cell), how
         if not empty:
             assert contains_point(cell, sample_point(cell))
         got = vertices(cell)
-        if any(v is None for side in lp_box for v in side):
+        if any(v is None for side in want_box for v in side):
             assert got is None
             seen["no vertices"] += 1
         else:
@@ -219,8 +257,11 @@ def test_vertices_decide_what_the_lp_path_decides(n, lp_calls):
         "own", "intersect", "intersect after", "preimage invertible", "reduced",
         "scaled twin", "strict twin", "flat", "unbounded", "no vertices",
         "empty closure", "flat closure", "empty, closure not", "A = 0", "rank 1",
+        "Cramer box",
     ] + ["strict through a vertex"] * (n > 1)
     assert min(seen[k] for k in wanted) >= 3, seen
+    new = ["open cone", "lineality", "all strict", "large coefficients"]
+    assert min(seen[k] for k in new) >= 5, seen
 
 
 def _box2(xlo, xhi, ylo, yhi):
@@ -230,28 +271,30 @@ def _box2(xlo, xhi, ylo, yhi):
     ])
 
 
-def test_find_pre_solves_an_lp_only_for_a_singular_a(lp_calls):
+def test_find_pre_takes_a_cramer_box_only_for_a_singular_a(lp_calls, fallbacks):
     target = _box2(1, 2, -1, 1)
     bounding_box(target)
     # invertible: the preimage carries the target's corners mapped by A^-1
     a = LinearSystem.of([[2, 1], [1, 1]])
-    lp_calls.clear()
+    fallbacks.clear()
     pre = find_pre(Region((target,)), a)
-    assert lp_calls == [] and len(pre.cells) == 1
+    assert fallbacks == [] and len(pre.cells) == 1
     assert sorted(apply_matrix(a.a_matrix, v) for v in vertices(pre.cells[0])) == sorted(
         vertices(target)
     )
     # rank 1, onto the diagonal: the preimage {1 <= x + y <= 2} of a box
-    # that the diagonal meets is unbounded, and its emptiness takes an LP
+    # that the diagonal meets is unbounded, and its emptiness takes its
+    # Cramer box
     rank_one = LinearSystem.of([[1, 1], [1, 1]])
     hit, miss = _box2(0, 2, 1, 3), _box2(1, 2, -2, -1)
-    lp_calls.clear()
+    fallbacks.clear()
     pre = find_pre(Region((hit,)), rank_one)
-    assert len(lp_calls) == 1 and len(pre.cells) == 1
+    assert len(fallbacks) == 1 and len(pre.cells) == 1
     assert contains_point(pre.cells[0], [5, -4]) and vertices(pre.cells[0]) is None
-    lp_calls.clear()
+    fallbacks.clear()
     assert find_pre(Region((miss,)), rank_one).is_empty()
-    assert len(lp_calls) == 1
+    assert len(fallbacks) == 1
+    assert lp_calls == []
 
 
 def test_transitions_are_proven_at_the_vertices(paper_spec, paper_build):
