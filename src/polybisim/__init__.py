@@ -48,7 +48,6 @@ from .logic import (
     Formula,
     LassoWord,
     eval_ltl_lasso,
-    lasso_accepts,
     parse_ltl,
     to_buchi,
 )

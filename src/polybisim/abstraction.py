@@ -34,6 +34,7 @@ from .geometry import (
     scale_point,
     split,
 )
+from .logic import Atom, ParseError, parse_ltl
 from .lyapunov import (
     LinearSystem,
     PolyhedralLF,
@@ -82,6 +83,14 @@ class ObservedRegion:
     def __post_init__(self):
         if self.label in (EMPTY_LABEL, TARGET_LABEL, "pid"):
             raise ValueError(f"reserved region label: {self.label}")
+        # a formula must be able to name the region: the label parses
+        # as the atom of that name and as nothing else
+        try:
+            named = parse_ltl(self.label) == Atom(self.label)
+        except ParseError:
+            named = False
+        if not named:
+            raise ValueError(f"region label is not an LTL atom: {self.label!r}")
 
 
 @dataclass

@@ -43,6 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"negative count: {text}")
         return value
 
+    def rational(text: str) -> Fraction:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator: {text}") from None
+
     parser = argparse.ArgumentParser(
         prog="polybisim",
         description=(
@@ -78,7 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one exact trajectory")
     p_sim.add_argument("problem", help="path to the JSON problem file")
     p_sim.add_argument(
-        "x0", nargs="+", help="initial state coordinates (decimals)"
+        "x0",
+        nargs="+",
+        type=rational,
+        help="initial state coordinates (decimals or fractions)",
     )
     return parser
 
@@ -109,10 +118,9 @@ def main(argv=None) -> int:
             # the step bound below holds only for a certified rate
             seq = level_sequence(spec.gamma_d, spec.gamma_x, spec.lf.rho)
             certified_rate(spec.lf, spec.system, seq)
-            x0 = [Fraction(v) for v in args.x0]
             r = spec.regions
             traj = run_simulation(
-                spec.system, r.x_cell, r.d_cell, r, x0, seq.n_steps + 1
+                spec.system, r.x_cell, r.d_cell, r, args.x0, seq.n_steps + 1
             )
             for x, obs in zip(traj.points, traj.word):
                 coords = ", ".join(f"{float(c):.6f}" for c in x)

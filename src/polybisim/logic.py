@@ -7,9 +7,11 @@ formulas on the deterministic quotient (``verify.label_quotient``, the
 pipeline's path) and, through ``eval_ltl_lasso``, on ultimately-periodic
 words.  The translation is negation normal form, then tableau expansion
 to a generalized Buchi automaton with one acceptance set per Until: a run
-accepts when it visits every set infinitely often.  It never touches the
-labeller, so the automaton path is the labeller's independent check and
-the labeller is the translation's.
+accepts when it visits every set infinitely often.  Which runs accept is
+decided in one place, ``verify.product`` then ``verify.f_star``, on any
+structure with one successor per state: the quotient, or a set of lasso
+words.  The translation never touches the labeller, so the automaton path
+is the labeller's independent check and the labeller is the translation's.
 """
 
 from __future__ import annotations
@@ -136,14 +138,6 @@ class LassoWord:
 
     def __len__(self) -> int:
         return len(self.prefix) + len(self.cycle)
-
-    def letter(self, k: int) -> Letter:
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
-    def succ(self, k: int) -> int:
-        return k + 1 if k + 1 < len(self) else len(self.prefix)
 
 
 class ParseError(ValueError):
@@ -472,87 +466,8 @@ def to_buchi(f: Formula) -> BuchiAutomaton:
 
 
 # --------------------------------------------------------------------------
-# Acceptance and the semantic oracle
+# Direct semantics on structures with one successor per position
 # --------------------------------------------------------------------------
-
-def _sccs(graph: dict) -> list[list]:
-    """Iterative Tarjan strongly-connected components."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
-
-
-def lasso_accepts(b: BuchiAutomaton, w: LassoWord) -> bool:
-    """Does some run over prefix.cycle^omega visit every acceptance set
-    infinitely often?
-
-    Builds the finite product of the automaton with the word positions and
-    looks for a reachable cyclic SCC that meets every acceptance set.
-    """
-    graph: dict = {}
-    frontier = [(s, 0) for s in b.initial]
-    for node in frontier:
-        graph[node] = []
-    while frontier:
-        s, k = frontier.pop()
-        letter = w.letter(k)
-        nk = w.succ(k)
-        for e in b.edges.get(s, ()):
-            if e.accepts(letter):
-                nxt = (e.dst, nk)
-                graph[(s, k)].append(nxt)
-                if nxt not in graph:
-                    graph[nxt] = []
-                    frontier.append(nxt)
-    for comp in _sccs(graph):
-        cyclic = len(comp) > 1 or comp[0] in graph[comp[0]]
-        if cyclic and all(
-            any(s in acc for s, _ in comp) for acc in b.acceptance
-        ):
-            return True
-    return False
-
 
 def label(f: Formula, letters: Sequence[Letter], succ: Sequence[int]) -> list[bool]:
     """Truth of f at every position 0..n-1 of a structure in which position

@@ -2,11 +2,13 @@
 
 ``label_quotient``, the pipeline's path, labels each state with
 ``logic.label`` from its letter and its one successor: no automaton.  The
-automaton path is its check: ``product`` synchronizes the quotient with a
-generalized Buchi automaton on the fly, keeping only the pairs reachable
-from the initial pairings.  A product state has an accepting run when it
-reaches a cyclic strongly connected component that meets every acceptance
-set, and a quotient state satisfies the formula exactly when one of its
+automaton path is its check, and the package's only acceptance test for
+automata: ``product`` synchronizes a generalized Buchi automaton on the
+fly with any structure that has one successor per state (the quotient, or
+a set of lasso words), keeping only the pairs reachable from the initial
+pairings.  ``f_star`` returns the product states with an accepting run,
+those that reach a cyclic strongly connected component meeting every
+acceptance set, and a state satisfies the formula exactly when one of its
 initial pairings has an accepting run.
 """
 
@@ -17,7 +19,7 @@ from typing import Hashable, Optional
 
 from .abstraction import Partition, QuotientTS
 from .geometry import Region
-from .logic import BuchiAutomaton, Formula, _sccs, formula_atoms, label
+from .logic import BuchiAutomaton, Formula, formula_atoms, label
 
 ProductState = tuple  # (quotient state, automaton state)
 
@@ -48,9 +50,10 @@ class SatisfyingSet:
 
 
 def _check_atoms(quotient: QuotientTS, atoms) -> None:
-    alphabet = {"pid"} | {
-        o.label for o in quotient.observations.values() if o.is_region
-    }
+    """The alphabet is ``pid`` and every atom of a state's letter."""
+    alphabet = {"pid"}.union(
+        *(o.letter() for o in set(quotient.observations.values()))
+    )
     undeclared = set(atoms) - alphabet
     if undeclared:
         raise ValueError(
@@ -96,7 +99,10 @@ def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
     initial pairings (every quotient state with every initial automaton
     state).
 
-    Edges fire on the source quotient state's observation letter.  The
+    ``quotient`` may be any deterministic structure with the three fields
+    read here: ``states``, the one successor ``transitions[q]`` of each
+    state, and a hashable ``observations[q]`` whose ``letter()`` is the
+    atom set that q reads.  Edges fire on the source state's letter.  The
     pairs are found by a worklist, so each guard is tested once per
     (observation, automaton state) actually reached.  Every kept pair has
     the successors it has in the full product, so which pairs have an
@@ -150,6 +156,54 @@ def _backward_closure(seeds, preds) -> set:
                 seen.add(p)
                 stack.append(p)
     return seen
+
+
+def _sccs(graph: dict) -> list[list]:
+    """Iterative Tarjan strongly-connected components."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    counter = [0]
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(graph[w])))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.remove(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
 
 
 def f_star(p: ProductAutomaton) -> frozenset:

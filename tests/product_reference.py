@@ -2,13 +2,25 @@
 full synchronized product over every (quotient state, automaton state)
 pair, and the Emerson-Lei fixpoint characterization of the states with an
 accepting run.  Tests compare the package's reachable product and its
-SCC-based ``f_star`` with them."""
+SCC-based ``f_star`` with them.
 
+Also the lasso structure: every short lasso word as one state of a
+quotient-shaped structure, so that ``product`` and ``f_star`` decide which
+lassos an automaton accepts."""
+
+import functools
+import itertools
+from dataclasses import dataclass
+
+from polybisim.logic import LassoWord
 from polybisim.verify import (
     ProductAutomaton,
     _backward_closure,
     _check_atoms,
     _predecessors,
+    f_star,
+    product,
+    satisfying_states,
 )
 
 
@@ -58,3 +70,61 @@ def f_star_fixpoint(p):
         if keep == z:
             return frozenset(z)
         z = keep
+
+
+class Letter(frozenset):
+    """An atom set that is its own observation letter."""
+
+    def letter(self):
+        return self
+
+
+@dataclass(frozen=True)
+class LassoStructure:
+    """Quotient-shaped: state q is the lasso ``words[q]``, it reads the
+    word's first letter, and its one successor is the word with that
+    letter dropped (the prefix loses its head, or the cycle rotates)."""
+
+    states: tuple
+    transitions: dict
+    observations: dict
+    words: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def lasso_structure(max_prefix=3, max_cycle=3):
+    """Every lasso with a prefix of at most ``max_prefix`` and a cycle of
+    at most ``max_cycle`` letters over {}, {a}, {b}, {a, b}, a set closed
+    under the successor: 7140 states by default."""
+    letters = [Letter(), Letter({"a"}), Letter({"b"}), Letter({"a", "b"})]
+    words = tuple(
+        LassoWord(prefix, cycle)
+        for p in range(max_prefix + 1)
+        for prefix in itertools.product(letters, repeat=p)
+        for c in range(1, max_cycle + 1)
+        for cycle in itertools.product(letters, repeat=c)
+    )
+    index = {w: q for q, w in enumerate(words)}
+
+    def succ(w):
+        if w.prefix:
+            return LassoWord(w.prefix[1:], w.cycle)
+        return LassoWord((), w.cycle[1:] + w.cycle[:1])
+
+    return LassoStructure(
+        tuple(range(len(words))),
+        {q: index[succ(w)] for q, w in enumerate(words)},
+        {q: (w.prefix + w.cycle)[0] for q, w in enumerate(words)},
+        words,
+    )
+
+
+def accepted_lassos(b, lassos=None):
+    """The lassos of ``lassos`` (by default ``lasso_structure()``) on
+    which b has an accepting run, read off the package's product and
+    ``f_star``."""
+    if lassos is None:
+        lassos = lasso_structure()
+    p = product(lassos, b)
+    sat = satisfying_states(p, f_star(p))
+    return frozenset(lassos.words[q] for q in sat.state_ids)

@@ -126,6 +126,8 @@ def test_input_error_exit_code(tmp_path, capsys):
         ["verify", "{toy}", "--samples", "abc"],
         ["verify", "{toy}", "--samples", "-1"],
         ["verify", "{toy}", "--no-such-flag"],
+        ["simulate", "{toy}", "1/0"],
+        ["simulate", "{toy}", "abc"],
     ],
 )
 def test_usage_error_exit_code(argv, toy_path, capsys):

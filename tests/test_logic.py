@@ -1,7 +1,8 @@
 """LTL parsing, normal forms, the tableau translation and the lasso
-oracle agreeing with each other."""
+oracle agreeing with each other.  Which lassos an automaton accepts is
+read off the package's product and ``f_star`` over every short lasso
+(``product_reference.accepted_lassos``)."""
 
-import itertools
 import random
 
 import pytest
@@ -26,11 +27,11 @@ from polybisim.logic import (
     _tableau,
     eval_ltl_lasso,
     formula_atoms,
-    lasso_accepts,
     nnf,
     parse_ltl,
     to_buchi,
 )
+from product_reference import accepted_lassos, lasso_structure
 
 E = frozenset()
 A = frozenset({"a"})
@@ -83,16 +84,6 @@ def _random_formula(rng, depth):
     return [And, Or, Implies, Until][op - 3](l, r)
 
 
-def all_lassos(letters, max_prefix, max_cycle):
-    out = []
-    for p in range(max_prefix + 1):
-        for prefix in itertools.product(letters, repeat=p):
-            for c in range(1, max_cycle + 1):
-                for cycle in itertools.product(letters, repeat=c):
-                    out.append(LassoWord(prefix, cycle))
-    return out
-
-
 def test_str_parse_round_trip():
     rng = random.Random(31)
     for _ in range(100):
@@ -103,8 +94,6 @@ def test_str_parse_round_trip():
 def test_lasso_word_basics():
     w = LassoWord((A,), (B, E))
     assert len(w) == 3
-    assert [w.letter(k) for k in range(6)] == [A, B, E, B, E, B]
-    assert w.succ(2) == 1
     with pytest.raises(ValueError):
         LassoWord((), ())
 
@@ -152,7 +141,7 @@ def test_nnf_shape_and_semantics():
 
 def test_negation_duality_on_oracle():
     rng = random.Random(41)
-    words = all_lassos([E, A, B, AB], 2, 2)
+    words = lasso_structure(2, 2).words
     for _ in range(20):
         f = _random_formula(rng, 3)
         for w in words[:: 7]:
@@ -161,36 +150,36 @@ def test_negation_duality_on_oracle():
 
 def test_buchi_trivial_formulas():
     words = [LassoWord((), (E,)), LassoWord((A,), (B, E))]
-    b_true = to_buchi(TrueF())
-    b_false = to_buchi(FalseF())
+    accepted_true = accepted_lassos(to_buchi(TrueF()))
+    accepted_false = accepted_lassos(to_buchi(FalseF()))
     for w in words:
-        assert lasso_accepts(b_true, w)
-        assert not lasso_accepts(b_false, w)
-    b_atom = to_buchi(Atom("a"))
-    assert lasso_accepts(b_atom, LassoWord((A,), (E,)))
-    assert not lasso_accepts(b_atom, LassoWord((B,), (E,)))
+        assert w in accepted_true
+        assert w not in accepted_false
+    accepted_atom = accepted_lassos(to_buchi(Atom("a")))
+    assert LassoWord((A,), (E,)) in accepted_atom
+    assert LassoWord((B,), (E,)) not in accepted_atom
 
 
 def test_buchi_release_and_until():
-    b = to_buchi(parse_ltl("a U b"))
-    assert lasso_accepts(b, LassoWord((A, A, B), (E,)))
-    assert not lasso_accepts(b, LassoWord((A, A), (E,)))
-    g = to_buchi(parse_ltl("G a"))
-    assert lasso_accepts(g, LassoWord((), (A,)))
-    assert not lasso_accepts(g, LassoWord((A,), (A, B, E)))
+    until = accepted_lassos(to_buchi(parse_ltl("a U b")))
+    assert LassoWord((A, A, B), (E,)) in until
+    assert LassoWord((A, A), (E,)) not in until
+    always = accepted_lassos(to_buchi(parse_ltl("G a")))
+    assert LassoWord((), (A,)) in always
+    assert LassoWord((A,), (A, B, E)) not in always
 
 
 def test_translation_matches_oracle_reduced_sweep():
     rng = random.Random(43)
-    words = all_lassos([E, A, B, AB], 2, 2)
+    lassos = lasso_structure(2, 2)
     for _ in range(20):
         f = _random_formula(rng, 3)
-        b = to_buchi(f)
-        nb = to_buchi(Not(f))
-        for w in words:
+        accepted = accepted_lassos(to_buchi(f), lassos)
+        accepted_not = accepted_lassos(to_buchi(Not(f)), lassos)
+        for w in lassos.words:
             expect = eval_ltl_lasso(f, w)
-            assert lasso_accepts(b, w) == expect
-            assert lasso_accepts(nb, w) == (not expect)
+            assert (w in accepted) == expect
+            assert (w in accepted_not) == (not expect)
 
 
 def test_multiple_untils_give_one_acceptance_set_each():
@@ -200,10 +189,11 @@ def test_multiple_untils_give_one_acceptance_set_each():
     b = to_buchi(f)
     assert len(b.acceptance) == 2
     assert len(b.states) == len(_tableau(nnf(f))) + 1
-    assert lasso_accepts(b, LassoWord((A,), (B,)))
-    assert lasso_accepts(b, LassoWord((), (A, B)))
-    assert not lasso_accepts(b, LassoWord((A,), (E,)))
-    assert not lasso_accepts(b, LassoWord((), (B,)))
+    accepted = accepted_lassos(b)
+    assert LassoWord((A,), (B,)) in accepted
+    assert LassoWord((), (A, B)) in accepted
+    assert LassoWord((A,), (E,)) not in accepted
+    assert LassoWord((), (B,)) not in accepted
 
 
 def test_lasso_needs_a_cycle_through_every_acceptance_set():
@@ -225,10 +215,11 @@ def test_lasso_needs_a_cycle_through_every_acceptance_set():
         (frozenset({1, 3}), frozenset({4})),
         frozenset({"a"}),
     )
-    assert lasso_accepts(b, LassoWord((A,), (E,)))
-    assert lasso_accepts(b, LassoWord((), (AB, B)))
-    assert not lasso_accepts(b, LassoWord((B,), (A,)))
-    assert not lasso_accepts(b, LassoWord((), (E,)))
+    accepted = accepted_lassos(b)
+    assert LassoWord((A,), (E,)) in accepted
+    assert LassoWord((), (AB, B)) in accepted
+    assert LassoWord((B,), (A,)) not in accepted
+    assert LassoWord((), (E,)) not in accepted
 
 
 def test_until_with_true_right_side():
@@ -242,7 +233,7 @@ def test_until_with_true_right_side():
     ):
         f = parse_ltl(text)
         assert eval_ltl_lasso(f, w)
-        assert lasso_accepts(to_buchi(f), w)
+        assert w in accepted_lassos(to_buchi(f))
 
 
 def test_release_str():

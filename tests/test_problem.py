@@ -136,9 +136,12 @@ def test_region_overlap():
 
 
 def test_reserved_region_name():
-    doc = base_doc()
-    doc["regions"][0]["name"] = "pid"
-    _expect_code(doc, MALFORMED)
+    # pid is reserved; the others are names that no formula could refer to,
+    # because the LTL parser reads them as something other than that atom
+    for name in ("pid", "true", "false", "X", "F", "G", "U", "", "r-1", "r 1"):
+        doc = base_doc()
+        doc["regions"][0]["name"] = name
+        _expect_code(doc, MALFORMED)
 
 
 def test_duplicate_region_labels():
