@@ -217,9 +217,9 @@ def validate_regions(
     x_cell: Cell, d_cell: Cell, regions: Sequence[ObservedRegion]
 ) -> ValidatedRegions:
     """Prove that the labels are unique, that each region lies inside X and
-    misses D, and that the regions are pairwise disjoint.  X \\ D itself is
-    never cut here.  Regions already validated against equal X and D are
-    returned as is."""
+    misses D and is not empty, and that the regions are pairwise disjoint.
+    X \\ D itself is never cut here.  Regions already validated against
+    equal X and D are returned as is."""
     if isinstance(regions, ValidatedRegions) and (
         regions.x_cell.constraints, regions.d_cell.constraints
     ) == (x_cell.constraints, d_cell.constraints):
@@ -234,6 +234,8 @@ def validate_regions(
                 f"region {r.label} is not inside the working set minus "
                 "the target set",
             )
+        if is_empty(r.cell):
+            raise RegionError(MALFORMED, f"region {r.label} is empty")
     for i, a in enumerate(regions):
         for b in regions[i + 1 :]:
             if not cells_disjoint(a.cell, b.cell):

@@ -9,17 +9,16 @@ tolerances anywhere in this module.
 Both refinements cut with ``split(cell, region)``: the parts of a cell
 inside and outside a disjoint region, each intersection decided once.
 
-A bounded cell caches the exact vertices of its relaxed closure R (its
-rows with every strict flag dropped) and, for each vertex, the bitmask of
-the rows tight there.  A derived cell gets them from the cell it comes
-from, never by a fresh enumeration: ``intersect`` clips one operand's
+A cell caches the exact vertices of its relaxed closure R (its rows with
+every strict flag dropped) and, for each vertex, the bitmask of the rows
+tight there.  They come from one of two sources.  A derived cell gets
+them from the cell it comes from: ``intersect`` clips one operand's
 vertices by the other operand's rows, one double-description step per row
 (Fukuda & Prodon 1996), ``preimage_linear`` maps them by A^-1 when A is
-invertible, and ``remove_redundancy`` hands them on.  A cell with no such
-source clips the corners of a parallelotope that contains it: the one its
-rows bound when they bound it from both sides along n independent
-directions (a box, a sublevel set ||Lx||_inf <= g), or else its bounding
-box, once that is known.  From the vertices:
+invertible, and ``remove_redundancy`` hands them on.  Any other cell clips
+its Cramer box [-H, H]^n, which holds every vertex of a bounded R and a
+point of every non-empty one (``_vertices``); a clipped vertex tight on a
+side of the box marks R unbounded.  From the vertices:
 
 - the bounding box is their minimum and maximum per coordinate;
 - the cell is empty iff R has no vertex or a strict row is tight at every
@@ -30,11 +29,9 @@ box, once that is known.  From the vertices:
   facet (a row tight at n affinely independent vertices) that has no
   positive-multiple twin.
 
-A cell with no vertices to hand (unbounded, or with no source, no
-opposite rows and no known box) clips R to its Cramer box [-H, H]^n,
-which holds a point of the cell if it has one (``_cramer_vertices``),
-and the same rule decides it; a side of its box is open where R's
-recession cone has a ray along it.  No LP is solved.
+An unbounded cell is decided by the same rule on its clip, and a side of
+its box is open where R's recession cone has a ray along it.  No LP is
+solved.
 
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
@@ -54,8 +51,6 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
-
-from .errors import InternalError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -110,7 +105,7 @@ class Cell:
 
     __slots__ = (
         "dim", "constraints", "_empty", "_sample", "_bbox", "_rows", "_verts",
-        "_src", "_pieces",
+        "_src", "_pieces", "_clip_box",
     )
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
@@ -125,10 +120,12 @@ class Cell:
         self._sample: Optional[Vector] = None
         self._bbox = None
         self._rows = None
-        # None: not computed or no source (the Cramer box decides); False: unbounded
+        # None: not computed; False: unbounded
         self._verts = None
         self._src = None
         self._pieces = None
+        # an unbounded cell's box of its Cramer clip, until bounding_box
+        self._clip_box = None
 
     def __repr__(self):
         return f"Cell(dim={self.dim}, k={len(self.constraints)})"
@@ -153,22 +150,27 @@ class Region:
 
 
 def is_empty(cell: Cell) -> bool:
-    """Empty iff R's vertices (clipped to the Cramer box when the cell has
-    none to hand) are none or a strict row is tight at all of them, with
-    their centroid as the sample otherwise."""
+    """Empty iff R has no vertex or a strict row is tight at all of them,
+    with their centroid as the sample otherwise; the clip that finds R
+    unbounded decides an unbounded cell (``_vertices``)."""
     if cell._empty is None:
         verts = _vertices(cell)
-        if verts is None:
-            verts = _cramer_vertices(cell)
-        tight = -1
-        for _, _, z in verts:
-            tight &= z
-        cell._empty = not verts or any(
-            c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
-        )
-        if not cell._empty:
-            cell._sample = _centroid(verts, cell.dim)
+        if cell._empty is None:
+            _settle(cell, verts)
     return cell._empty
+
+
+def _settle(cell: Cell, verts) -> None:
+    """The cell's emptiness and sample from the vertices of R, or of R
+    clipped to a box that holds a point of the cell if it has one."""
+    tight = -1
+    for _, _, z in verts:
+        tight &= z
+    cell._empty = not verts or any(
+        c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
+    )
+    if not cell._empty:
+        cell._sample = _centroid(verts, cell.dim)
 
 
 def sample_point(cell: Cell) -> Vector:
@@ -232,7 +234,7 @@ def contains_point(cell: Cell, point: Sequence) -> bool:
 
 def intersect(a: Cell, b: Cell) -> Cell:
     """The cell of a's rows followed by b's; its vertices, when needed,
-    clip those of an operand that has them."""
+    clip those of a bounded operand."""
     if a.dim != b.dim:
         raise ValueError("cannot intersect cells of different dimensions")
     out = Cell(a.dim, a.constraints + b.constraints)
@@ -314,7 +316,7 @@ def split(cell: Cell, region: Region) -> tuple[list[Cell], list[Cell]]:
 def _inside(cell: Cell, other: Cell) -> bool:
     """Whether the cell lies in the other one by its vertices: every row of
     the other holds at every vertex, strictly when strict.  False decides
-    nothing, and so does a cell with no vertices."""
+    nothing, and so does an unbounded cell."""
     verts = _vertices(cell)
     if verts is None:
         return False
@@ -442,51 +444,19 @@ def _remap(z: int, index: list[int]) -> int:
 
 def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fraction]], ...]:
     """Per-coordinate (min, max) of the closure; None marks unbounded, and
-    an empty closure gets (0, -1) in every coordinate.
-
-    A cell whose every row bounds a single coordinate reads the box off
-    its tightest bounds, a cell with vertices takes their minimum and
-    maximum, and any other cell takes ``_cramer_box``.
+    an empty closure gets (0, -1) in every coordinate.  It is the minimum
+    and maximum of R's vertices, or ``_cramer_box`` for an unbounded R.
     """
     if cell._bbox is None:
-        box = _axis_box(cell)
-        if box is None:
-            verts = _vertices(cell)
-            box = _cramer_box(cell) if verts is None else _vertex_box(verts, cell.dim)
-        cell._bbox = box
+        verts = _vertices(cell)
+        cell._bbox = _cramer_box(cell) if verts is None else _vertex_box(verts, cell.dim)
     return cell._bbox
 
 
-def _axis_box(cell: Cell):
-    """The box of a cell whose every row bounds one coordinate; None for
-    any other cell."""
-    lo, hi = [None] * cell.dim, [None] * cell.dim
-    for c in cell.constraints:
-        nonzero = [k for k, a in enumerate(c.normal) if a]
-        if len(nonzero) != 1:
-            return None
-        j = nonzero[0]
-        bound = c.offset / c.normal[j]
-        if c.normal[j] > 0:
-            if hi[j] is None or bound < hi[j]:
-                hi[j] = bound
-        elif lo[j] is None or bound > lo[j]:
-            lo[j] = bound
-    if any(a is not None and b is not None and a > b for a, b in zip(lo, hi)):
-        return _empty_box(cell.dim)
-    return tuple(zip(lo, hi))
-
-
-def _empty_box(dim: int):
-    return tuple((_ZERO, -_ONE) for _ in range(dim))
-
-
 def _cramer_box(cell: Cell):
-    """R's box from its vertices in the Cramer box, which hold R's bounds;
-    a side is open where R's recession cone {A d <= 0} has a ray along it."""
-    verts = _cramer_vertices(cell)
-    if not verts:
-        return _empty_box(cell.dim)
+    """An unbounded R's box: the box of its Cramer clip, which holds every
+    bound that R has, with a side open where R's recession cone {A d <= 0}
+    has a ray along it."""
     n = cell.dim
     cone = [Constraint(c.normal, _ZERO) for c in cell.constraints]
 
@@ -494,15 +464,16 @@ def _cramer_box(cell: Cell):
         normal = vec(-sign * (i == j) for i in range(n))
         return not is_empty(Cell(n, cone + [Constraint(normal, _ZERO, True)]))
 
+    box, cell._clip_box = cell._clip_box, None
     return tuple(
         (None if ray(j, -1) else lo, None if ray(j, 1) else hi)
-        for j, (lo, hi) in enumerate(_vertex_box(verts, n))
+        for j, (lo, hi) in enumerate(box)
     )
 
 
 def _vertex_box(verts, dim: int):
     if not verts:
-        return _empty_box(dim)
+        return tuple((_ZERO, -_ONE) for _ in range(dim))
     points = [[Fraction(v, m) for v in x] for x, m, _ in verts]
     return tuple((min(col), max(col)) for col in zip(*points))
 
@@ -513,27 +484,48 @@ def _vertex_box(verts, dim: int):
 
 
 def _vertices(cell: Cell):
-    """The cell's vertices, derived from its source, from the parallelotope
-    its rows bound, or from its known box; None when it has none (an
-    unbounded closure) or none yet (no source has them, its rows bound no
-    parallelotope and no box is known)."""
+    """R's vertices, derived from the cell's source (``_derived``), or else
+    clipped from its Cramer box [-H, H]^n (``_cramer_vertices``); None
+    when R is unbounded.
+
+    The clip is exact.  H exceeds n^(n/2) K^n, which bounds every Cramer's
+    rule solution of n of the integer rows (Hadamard), K their largest
+    absolute entry.
+
+    - Bounded R: its every vertex is such a solution, so R lies strictly
+      inside the box.  No clipped vertex is tight on a side of the box,
+      and the clipped vertices are exactly R's (none when R is empty).
+    - Unbounded, non-empty R: it has a point in the box (a basic solution
+      of a minimal face) but is not contained in it, so R and the box
+      meet on a facet of the box.  That face of the polytope R & box holds
+      a vertex, tight on a side of the box.
+
+    So a clipped vertex tight on a side of the box marks R unbounded: the
+    cache holds False, and the clip settles the cell's emptiness and
+    sample (it holds a point of the cell if the cell has one) and keeps
+    its box for ``bounding_box``.  No cell is clipped twice.
+    """
     verts = cell._verts
     if verts is None:
         verts = _derived(cell)
         if verts is None:
-            verts = _slab_vertices(cell)
-        if verts is None:
-            if cell._bbox is None:
-                return None
-            verts = _box_vertices(cell, cell._bbox)
+            verts = _cramer_vertices(cell)
+            k = len(cell.constraints)
+            if any(z >> k for _, _, z in verts):
+                if cell._empty is None:
+                    _settle(cell, verts)
+                cell._clip_box = _vertex_box(verts, cell.dim)
+                verts = False
         cell._verts, cell._src = verts, None
     return None if verts is False else verts
 
 
 def _derived(cell: Cell):
-    """The vertices from the cell's source: an operand of ``intersect``
-    that has them, clipped by the other operand's rows, or the vertices of
-    the cell that ``preimage_linear`` inverted, mapped by A^-1."""
+    """The vertices from the cell's source: those of an operand of
+    ``intersect`` (one that already has them first) clipped by the other
+    operand's rows, or those of the cell that ``preimage_linear`` inverted,
+    mapped by A^-1.  None with no source, for two unbounded operands and
+    for a singular A."""
     if cell._src is None:
         return None
     a, b = cell._src
@@ -555,7 +547,7 @@ def _derived(cell: Cell):
         return tuple(mapped)
     k = len(a.constraints)
     operands = [(a, b, 0, k), (b, a, k, 0)]
-    if a._verts is None and b._verts:
+    if a._verts is None and b._verts is not None:
         operands.reverse()
     for base, other, shift, first in operands:
         verts = _vertices(base)
@@ -566,90 +558,27 @@ def _derived(cell: Cell):
     return None
 
 
-def _slab_vertices(cell: Cell):
-    """The vertices of a cell whose rows bound d.x from both sides along n
-    independent directions d (a box, or a sublevel set ||Lx||_inf <= g):
-    the parallelotope of the first such rows clipped by all of them.  None
-    when the rows hold no such pairs."""
-    first = {}
-    for i, (a, b, _) in enumerate(_int_rows(cell)):
-        g = gcd(*a)
-        first.setdefault(tuple(v // g for v in a), (Fraction(b, g), 1 << i))
-    directions, bounds = [], []
-    for d, hi in first.items():
-        opposite = tuple(-v for v in d)
-        if opposite in first and d > opposite and _rank(directions + [d]) > len(directions):
-            lo = first[opposite]
-            directions.append(d)
-            bounds.append(((-lo[0], lo[1]), hi))
-            if len(directions) == cell.dim:
-                return _parallelotope_vertices(cell, directions, bounds)
-    return None
-
-
-def _box_vertices(cell: Cell, box):
-    """The vertices of a cell from its box; False for an unbounded box."""
-    if any(v is None for side in box for v in side):
-        return False
-    verts = _clipped_to_box(cell, box)
-    if not verts and all(lo <= hi for lo, hi in box):
-        raise InternalError("a cell with a non-empty box has no vertex")
-    return verts
-
-
 def _cramer_vertices(cell: Cell) -> tuple:
     """The vertices of R clipped to [-H, H]^n, H = (n+1)^ceil((n+1)/2)
     K^(n+1) for K the largest absolute entry of the integer rows (>= 1,
-    as a normal is non-zero) and of the margin column.
+    as a normal is non-zero) and of the margin column.  The box's integer
+    corners, with x_j <= H and x_j >= -H as bits k + 2j and k + 2j + 1 past
+    the cell's k rows, are clipped by every row.
+
     The cell has a point iff A.x + s t <= B, 0 <= t <= 1 has a solution
     with t > 0 (s_i = 1 on a strict row: the margin column t).  Then t's
     maximum is attained at a Cramer's-rule solution of a non-singular
     subsystem (Schrijver 1986, section 10), each |x_j| at most a
     determinant of order <= n + 1 with entries <= K, so at most H
-    (Hadamard): a point of the box with every strict row slack.  R's
-    minimum and maximum of each coordinate it bounds lie in the box too."""
-    n = cell.dim
-    k = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
-    h = (n + 1) ** ((n + 2) // 2) * k ** (n + 1)
-    return _clipped_to_box(cell, ((-h, h),) * n)
-
-
-def _clipped_to_box(cell: Cell, box) -> tuple:
-    """The vertices of the cell's relaxed closure cut by a bounded box,
-    whose rows x_j <= hi_j and x_j >= lo_j get bits k + 2j and k + 2j + 1
-    past the cell's k rows."""
-    k, n = len(cell.constraints), cell.dim
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    bounds = [
-        ((lo, 1 << (k + 2 * j + 1)), (hi, 1 << (k + 2 * j)))
-        for j, (lo, hi) in enumerate(box)
+    (Hadamard): a point of the box with every strict row slack."""
+    n, k = cell.dim, len(cell.constraints)
+    big = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
+    h = (n + 1) ** ((n + 2) // 2) * big ** (n + 1)
+    corners = [
+        (x, 1, sum(1 << (k + 2 * j + (v < 0)) for j, v in enumerate(x)))
+        for x in product((-h, h), repeat=n)
     ]
-    return _parallelotope_vertices(cell, units, bounds)
-
-
-def _parallelotope_vertices(cell: Cell, directions, bounds) -> tuple:
-    """The vertices of a cell whose closure lies in the parallelotope
-    lo_j <= d_j.x <= hi_j, for n independent integer directions d_j and
-    bounds ((lo_j, Z), (hi_j, Z)) carrying the bits of the rows tight at
-    each: its corners clipped by the cell's rows, with the bits of other
-    rows dropped."""
-    if any(lo[0] > hi[0] for lo, hi in bounds):
-        return ()
-    scale = lcm(*(v.denominator for side in bounds for v, _ in side))
-    verts = []
-    for corner in product(
-        *(((lo[0], lo[1] | hi[1]),) if lo[0] == hi[0] else (lo, hi) for lo, hi in bounds)
-    ):
-        z = 0
-        for _, bit in corner:
-            z |= bit
-        d, x = _solve_integer(
-            [list(row) for row in directions],
-            [v.numerator * (scale // v.denominator) for v, _ in corner],
-        )
-        verts.append(_reduced(tuple(x), d * scale, z))
-    mask = (1 << len(cell.constraints)) - 1
-    return tuple((x, m, z & mask) for x, m, z in _clip(verts, _int_rows(cell), 0, cell.dim))
+    return _clip(corners, _int_rows(cell), 0, n)
 
 
 def _clip(verts, rows, first: int, n: int) -> tuple:
@@ -768,11 +697,10 @@ def _solve_integer(a, b) -> Optional[tuple[int, list[int]]]:
 
 def vertices(cell: Cell) -> Optional[list[Vector]]:
     """The exact vertices of the cell's closure with every strict flag
-    dropped (none when that is empty); None when it is unbounded."""
+    dropped (none when that is empty); None when it is unbounded.  They
+    come from the cell's source, or else from its Cramer box
+    (``_vertices``)."""
     verts = _vertices(cell)
-    if verts is None:
-        bounding_box(cell)  # a cell with a box has vertices, or is unbounded
-        verts = _vertices(cell)
     if verts is None:
         return None
     return [tuple(Fraction(v, m) for v in x) for x, m, _ in verts]

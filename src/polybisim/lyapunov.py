@@ -113,9 +113,8 @@ def unit_ball_row_maxima(lf: PolyhedralLF, sys: LinearSystem) -> list[Fraction]:
 
     A linear function's maximum over a polytope is attained at a vertex,
     so each maximum is read off the unit ball's exact vertices: the
-    corners of the parallelotope that n independent rows of L bound from
-    both sides, clipped by the other rows (L has full column rank and no
-    zero row).  No LP is solved.
+    corners of its Cramer box clipped by the rows of [L; -L] (L has full
+    column rank, so the ball is bounded).  No LP is solved.
     """
     if sys.n != lf.n:
         raise ValueError("system and L dimensions differ")

@@ -90,6 +90,8 @@ def parse_problem(doc: dict) -> ProblemSpec:
         raise ProblemError(MALFORMED, str(exc)) from exc
 
     l_rows = _matrix(doc["L"], "L")
+    if any(len(r) != system.n for r in l_rows):
+        raise ProblemError(MALFORMED, "L row width does not match A")
     rho = _fraction(doc["rho"], "rho")
     if not (0 < rho < 1):
         raise ProblemError(RHO_RANGE, f"rho={rho} is outside (0, 1)")
@@ -97,8 +99,6 @@ def parse_problem(doc: dict) -> ProblemSpec:
         lf = PolyhedralLF(l_rows, rho)
     except ValueError as exc:
         raise ProblemError(RANK_DEFICIENT, str(exc)) from exc
-    if lf.n != system.n:
-        raise ProblemError(MALFORMED, "L column count does not match A")
 
     gamma_d = _fraction(doc["gamma_D"], "gamma_D")
     gamma_x = _fraction(doc["gamma_X"], "gamma_X")
@@ -130,11 +130,11 @@ def parse_problem(doc: dict) -> ProblemSpec:
             raise ProblemError(MALFORMED, "region H and h sizes differ")
         if any(len(r) != system.n for r in h_mat):
             raise ProblemError(MALFORMED, "region H width does not match A")
-        cell = Cell(
-            system.n,
-            [Constraint(row, off, False) for row, off in zip(h_mat, h_vec)],
-        )
         try:
+            cell = Cell(
+                system.n,
+                [Constraint(row, off, False) for row, off in zip(h_mat, h_vec)],
+            )
             regions.append(ObservedRegion(str(entry["name"]), cell))
         except ValueError as exc:
             raise ProblemError(MALFORMED, str(exc)) from exc

@@ -58,8 +58,9 @@ def lp_calls(monkeypatch):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """A list that grows by one for every cell that its Cramer box
-    decides (a cell with no vertices to hand) while the test runs."""
+    """A list that grows by one for every Cramer start while the test
+    runs: a cell with no source clipped from its Cramer box, which gives
+    its vertices or finds it unbounded (its rows are recorded)."""
     calls = []
     real = geometry._cramer_vertices
 

@@ -1,6 +1,7 @@
 """Command line front end: subcommands, exports, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +240,17 @@ def test_zero_row_of_l_is_an_input_error(toy_path, tmp_path, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and "RANK_DEFICIENT" in line
+
+
+def test_zero_row_of_a_region_is_an_input_error(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
+    doc = json.loads(golden.read_text())
+    doc["regions"][0]["H"][0] = ["0", "0"]
+    path = tmp_path / "zero_region_row.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "check-lf"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "MALFORMED" in line

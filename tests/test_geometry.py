@@ -684,17 +684,22 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls, fallbacks):
         cell, kinds = _redundancy_case(rng, n)
         want = _greedy_reference(cell)
         greedy_tests = len(dict.fromkeys(cell.constraints))
-        # the cell as a caller holds it: emptiness unknown, known, or with
-        # its box, from which a bounded cell gets its vertices
+        # the cell as a caller holds it: not asked about yet, or with its
+        # emptiness or its box known (either one gives it its vertices)
         state = rng.choice(["unknown", "known", "own box"])
         if state != "unknown":
             seen["empty" if is_empty(cell) else "non-empty"] += 1
         if state == "own box":
             bounding_box(cell)
+        # a cell that no caller has asked about takes its own Cramer start
+        # inside remove_redundancy, once; every other start is a greedy test
+        own = [cell.constraints] * (cell._verts is None)
         fallbacks.clear()
         got = remove_redundancy(cell)
         assert list(got.constraints) == want
-        assert len(fallbacks) <= greedy_tests
+        greedy = [c for c in fallbacks if c != cell.constraints]
+        assert fallbacks[: len(own)] == own and len(fallbacks) == len(own) + len(greedy)
+        assert len(greedy) <= greedy_tests
         saved[state] += greedy_tests - len(fallbacks)
         seen[state] += 1
         seen.update(kinds)
@@ -709,15 +714,14 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls, fallbacks):
     kinds += ["known", "own box", "unknown"] + ["corner"] * (n > 1)
     assert min(seen[k] for k in kinds) >= 5, seen
     assert lp_calls == []
-    # Cramer boxes saved against the plain greedy, whose every test cell
-    # with no vertex source takes one: a cell whose rows bound it from both
-    # sides along n independent directions (every bounded 1-D cell) has its
-    # vertices whatever the caller knows, and any other bounded cell gets
-    # them from its box
+    # Cramer starts saved against the plain greedy, whose every test cell
+    # has no source and takes one.  A cell that the caller has asked about
+    # ("known", "own box") has its vertices, which decide most rows; an
+    # "unknown" cell pays for its own start first
     assert dict(saved) == {
-        1: {"unknown": 132, "known": 172, "own box": 185},
-        2: {"unknown": 167, "known": 192, "own box": 251},
-        3: {"unknown": 285, "known": 263, "own box": 263},
+        1: {"unknown": 14, "known": 96, "own box": 79},
+        2: {"unknown": 56, "known": 140, "own box": 151},
+        3: {"unknown": 180, "known": 242, "own box": 199},
     }[n]
 
 
@@ -729,9 +733,8 @@ def test_remove_redundancy_cramer_box_count(lp_calls, fallbacks):
     rows = diamond[:1] + [constraint([1, 0], 3)] + diamond[1:] + [diamond[0], twin, touch]
     cell = Cell(2, rows)
     assert not is_empty(cell)
-    # x + y and x - y are bounded from both sides: the parallelotope they
-    # bound, clipped by every row, gives the diamond's four vertices and
-    # its box with no Cramer box
+    # the cell took its own Cramer start in is_empty: its box is its four
+    # vertices' box
     fallbacks.clear()
     assert bounding_box(cell) == ((-2, 2), (-2, 2))
     got = remove_redundancy(cell)
@@ -739,26 +742,25 @@ def test_remove_redundancy_cramer_box_count(lp_calls, fallbacks):
     # them: dropped.  x - y, -x + y and -x - y are each tight at two
     # vertices with no twin: kept.  x + 2y is non-strict and tight at
     # (0, 2) alone: dropped.  x + y and its twin 2x + 2y tie, so the
-    # greedy tests them: x + y's test cell has no vertex source and takes
-    # its Cramer box (dropped, the twin is there), and the twin's test
-    # cell, bounded by x - y and x + y from both sides, is decided by its
-    # own vertices (kept).  The plain greedy takes seven tests
-    assert len(fallbacks) == 1
+    # greedy tests them, and each test cell has no source and takes its
+    # Cramer start: x + y's (dropped, the twin is there) and the twin's
+    # (kept).  The plain greedy takes seven tests
+    assert len(fallbacks) == 2
     assert list(got.constraints) == diamond[1:] + [twin]
     assert list(got.constraints) == _greedy_reference(cell)
     assert geometry.vertices(got) == geometry.vertices(cell)
-    # a triangle has no opposite rows: until its box is known it has no
-    # vertices, and the greedy takes one Cramer box per row; with its box
-    # (from its own Cramer box) it takes none
+    # a triangle with a slack row: unasked, it takes its own Cramer start
+    # in remove_redundancy, and its vertices then decide every row; with
+    # its box (from that start) it takes none
     triangle = [constraint([-1, 0], 0), constraint([0, -1], 0), constraint([1, 1], 2)]
     triangle.append(constraint([1, 1], 3))
-    for boxed, boxes in ((False, 4), (True, 0)):
+    for boxed, boxes in ((False, 1), (True, 0)):
         cell = Cell(2, triangle)
         if boxed:
             bounding_box(cell)
         fallbacks.clear()
         got = remove_redundancy(cell)
-        assert len(fallbacks) == boxes
+        assert fallbacks == [tuple(triangle)] * boxes
         assert list(got.constraints) == triangle[:3] == _greedy_reference(cell)
         assert (got._bbox is None) is not boxed
     assert lp_calls == []
@@ -807,12 +809,17 @@ def test_axis_aligned_box_needs_no_lp(n, lp_calls, fallbacks):
                 rows.append(rows[-1])
         cell = Cell(n, rows)
         lp_calls.clear()
+        fallbacks.clear()
         box = bounding_box(cell)
-        assert lp_calls == [] and fallbacks == []
+        open_side = any(v is None for side in box for v in side)
+        # one Cramer start for the cell, and one per ray test (two per
+        # coordinate) when it is unbounded
+        assert lp_calls == [] and fallbacks[0] == cell.constraints
+        assert len(fallbacks) == 1 + 2 * n * open_side
         assert box == lp_box(Cell(n, rows))
         empty_closure = box == tuple((0, -1) for _ in range(n))
         seen["empty closure" if empty_closure else "box"] += 1
-        seen["open side"] += any(v is None for side in box for v in side)
+        seen["open side"] += open_side
         seen["strict"] += any(c.strict for c in rows)
         seen["repeated"] += len(set(rows)) < len(rows)
     assert min(seen.values()) >= 10 and len(seen) == 5, seen

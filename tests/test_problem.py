@@ -86,9 +86,14 @@ def test_non_square_a():
 
 
 def test_l_width_mismatch():
-    doc = base_doc()
-    doc["L"] = [["1"], ["1"]]
-    _expect_code(doc, MALFORMED)
+    for l_rows in (
+        [["1"], ["1"]],
+        [["1", "0"], ["0"]],  # ragged
+        [["1", "0", "0"], ["0", "1", "0"]],  # 2 x 3 for n = 2
+    ):
+        doc = base_doc()
+        doc["L"] = l_rows
+        _expect_code(doc, MALFORMED)
 
 
 def test_rho_out_of_range():
@@ -121,6 +126,16 @@ def test_region_beyond_working_set():
     doc = base_doc()
     doc["regions"][0]["h"] = ["6", "-5", "1", "1"]
     _expect_code(doc, REGION_DOMAIN)
+
+
+def test_empty_region():
+    # x <= 2 and x >= 3: the region has no point, so no formula could
+    # observe it
+    doc = base_doc()
+    doc["regions"][0]["h"] = ["2", "-3", "1", "1"]
+    with pytest.raises(ProblemError, match="region r1 is empty") as err:
+        parse_problem(doc)
+    assert err.value.code == MALFORMED
 
 
 def test_region_overlap():
@@ -179,6 +194,7 @@ def _set(path, value):
         _set(["regions", 0, "h"], "3"),
         _set(["A", 1], 0),
         _set(["regions", 0, "H", 0], "10"),
+        _set(["regions", 0, "H", 0], ["0", "0"]),
         _set(["formula"], ["F r1"]),
     ],
     ids=[
@@ -191,6 +207,7 @@ def _set(path, value):
         "h-not-list",
         "matrix-row-number",
         "matrix-row-string",
+        "region-zero-row",
         "formula-not-string",
     ],
 )
@@ -217,9 +234,10 @@ def one_slice_doc():
 def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     """load_problem + run_pipeline cut X \\ D only where it is a slice
     (inside ``lyapunov.slices``, once), compute the contraction rates
-    once, and prove the box of X and of D once each.  Neither X nor D is
-    proven non-empty by its Cramer box: the target block's sample is the
-    centroid of D's vertices."""
+    once, and prove the box of X and of D once each.  X and D have no
+    source, so each takes one Cramer start, which gives its vertices, box
+    and emptiness.  Both documents have gamma_D = 1, so the unit ball of
+    the contraction rates has D's rows and counts as a second D start."""
     names = {}
     counts = Counter()
     real = {
@@ -245,7 +263,7 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
 
     def cramer_vertices(cell):
         if cell.constraints in names:
-            counts[names[cell.constraints] + " emptiness"] += 1
+            counts[names[cell.constraints] + " start"] += 1
         return real_cramer(cell)
 
     def unit_ball_row_maxima(lf, system):
@@ -275,8 +293,8 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
             "X minus D": x_minus_d,
             "X minus D in slices": x_minus_d,
             "row maxima": 1,
-            "X emptiness": 0,
-            "D emptiness": 0,
+            "X start": 1,
+            "D start": 2,
             "X box": 1,
             "D box": 1,
         })
@@ -329,14 +347,14 @@ def rank_one_doc():
 
 def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
     """Rates come from the unit ball's vertices and the cells decide from
-    their vertices, or from their Cramer boxes, so load_problem +
-    run_pipeline solve no LP at all.  On two_slice_2d and three_d the
-    Cramer boxes decide only greedy tests of ``remove_redundancy`` that the
-    vertices leave open (on two_slice_2d, strict rows that touch a block
-    on a lower face); under the singular A of rank_one they also decide
-    the emptiness and box of the unbounded preimages."""
+    their vertices, so load_problem + run_pipeline solve no LP at all.
+    The cells with no source take one Cramer start each: X, D, the unit
+    ball and the regions, then the greedy tests of ``remove_redundancy``
+    that the vertices leave open (on two_slice_2d, strict rows that touch
+    a block on a lower face).  Under the singular A of rank_one the
+    unbounded preimages and the ray tests of their boxes take one too."""
     golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
-    problems = [(one_slice_doc(), 0), (golden, 4), (three_d_doc(), 9), (rank_one_doc(), 50)]
+    problems = [(one_slice_doc(), 4), (golden, 10), (three_d_doc(), 15), (rank_one_doc(), 77)]
     for k, (problem, boxes) in enumerate(problems):
         if isinstance(problem, dict):
             path = tmp_path / f"p{k}.json"

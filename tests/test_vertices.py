@@ -1,9 +1,10 @@
 """Vertex-carrying cells and Cramer boxes against the exact simplex.
 
-A bounded cell caches the vertices of its relaxed closure and decides its
-box, emptiness and most redundant rows from them; a cell with none to
-hand decides them from its relaxed closure clipped to its Cramer box.
-These seeded tests compare every such answer with an independent one:
+A cell gets the vertices of its relaxed closure from one of two sources:
+the cell it is derived from, or else the corners of its Cramer box
+clipped by its rows, a clip that also finds an unbounded closure.  The
+vertices decide its box, emptiness and most redundant rows.  These
+seeded tests compare every such answer with an independent one:
 the vertices with a brute-force intersection of every n rows, the box
 with ``lp_box``, emptiness with ``slack_lp`` (both in
 ``tests/lp_reference.py``), and ``remove_redundancy`` with a greedy that
@@ -11,10 +12,12 @@ solves one emptiness LP per row.  They also prove the paper fixture's
 transitions at the vertices of its blocks.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +40,10 @@ from polybisim.geometry import (
     vertices,
 )
 from polybisim.lyapunov import LinearSystem
+from polybisim.pipeline import run_pipeline
+from polybisim.problem import load_problem
 from lp_reference import lp_box, lp_empty
+from test_problem import rank_one_doc, three_d_doc
 
 
 def _lp_greedy(cell):
@@ -112,8 +118,11 @@ def _case(rng, n):
     """(cell, kinds): random rows inside a box [lo, hi]^n (or no box), with
     twins, flat pieces, strict rows through a corner of the box, rows with
     large coefficients, or every row strict.  Or, with no box: an open
-    cone (strict rows through the origin only), or lineality (rows along
-    fewer than n directions, opposite pairs among them)."""
+    cone (strict rows through the origin only), lineality (rows along
+    fewer than n directions, opposite pairs among them), or a steep cone
+    (x_1 >= 0 and x_(j+1) >= k x_j, k about 100, for n > 1), whose
+    Cramer clip stays far below H along the open side x_1 <= ..., so
+    that only the ray test opens it."""
     kinds = set()
     shape = rng.random()
     if shape < 0.1:
@@ -164,7 +173,23 @@ def _case(rng, n):
         rows = [Constraint(c.normal, c.offset, True) for c in rows]
         kinds.add("all strict")
     rng.shuffle(rows)
+    if shape < 0.25 and n > 1:
+        # in place of this box case, from draws of its own, so that the
+        # other cases are drawn as they were before this kind
+        return _steep_cone(random.Random(shape), n), {"steep cone"}
     return Cell(n, rows), kinds
+
+
+def _steep_cone(rng, n):
+    """x_1 >= c and k_j x_j - x_(j+1) <= c_j with k_j about 100, rows in
+    random order, some strict."""
+    rows = [constraint(_unit(n, 0, -1), rng.randrange(0, 3), rng.random() < 0.3)]
+    for j in range(n - 1):
+        normal = [0] * n
+        normal[j], normal[j + 1] = rng.randrange(90, 111), -1
+        rows.append(constraint(normal, rng.randrange(-2, 3), rng.random() < 0.3))
+    rng.shuffle(rows)
+    return Cell(n, rows)
 
 
 def _matrix(rng, n):
@@ -258,7 +283,7 @@ def test_vertices_decide_what_the_lp_path_decides(n, lp_calls, fallbacks):
         "scaled twin", "strict twin", "flat", "unbounded", "no vertices",
         "empty closure", "flat closure", "empty, closure not", "A = 0", "rank 1",
         "Cramer box",
-    ] + ["strict through a vertex"] * (n > 1)
+    ] + ["strict through a vertex", "steep cone"] * (n > 1)
     assert min(seen[k] for k in wanted) >= 3, seen
     new = ["open cone", "lineality", "all strict", "large coefficients"]
     assert min(seen[k] for k in new) >= 5, seen
@@ -283,18 +308,76 @@ def test_find_pre_takes_a_cramer_box_only_for_a_singular_a(lp_calls, fallbacks):
         vertices(target)
     )
     # rank 1, onto the diagonal: the preimage {1 <= x + y <= 2} of a box
-    # that the diagonal meets is unbounded, and its emptiness takes its
-    # Cramer box
+    # that the diagonal meets is unbounded.  The box takes its own Cramer
+    # start (it is asked for its vertices to map), A^-1 does not exist,
+    # and the preimage's emptiness takes its Cramer start, once
     rank_one = LinearSystem.of([[1, 1], [1, 1]])
     hit, miss = _box2(0, 2, 1, 3), _box2(1, 2, -2, -1)
     fallbacks.clear()
     pre = find_pre(Region((hit,)), rank_one)
-    assert len(fallbacks) == 1 and len(pre.cells) == 1
+    assert len(pre.cells) == 1
+    assert fallbacks == [hit.constraints, pre.cells[0].constraints]
     assert contains_point(pre.cells[0], [5, -4]) and vertices(pre.cells[0]) is None
     fallbacks.clear()
     assert find_pre(Region((miss,)), rank_one).is_empty()
-    assert len(fallbacks) == 1
+    assert len(fallbacks) == 2 and fallbacks[0] == miss.constraints
     assert lp_calls == []
+
+
+def test_a_steep_cone_opens_a_side_that_its_clip_does_not_reach(fallbacks):
+    # {x >= 0, y >= 100 x}: x is unbounded above, but the clip to
+    # [-H, H]^2 reaches only x = H / 100 there
+    cell = Cell(2, [constraint([-1, 0], 0), constraint([100, -1], 0)])
+    assert bounding_box(cell) == ((0, None), (0, None))
+    assert fallbacks[0] == cell.constraints
+    clip = geometry._cramer_vertices(cell)
+    h = max(abs(v) for x, _, _ in clip for v in x)
+    assert all(m == 1 for _, m, _ in clip) and max(x[0] for x, _, _ in clip) * 100 == h
+
+
+def test_no_cell_takes_its_cramer_start_twice(monkeypatch, tmp_path):
+    """Every cell with no source is clipped from its Cramer box at most
+    once, whatever is asked of it: a bounded cell, an unbounded one and
+    the ray cones of its box, a preimage under a singular A, and the cells
+    of whole pipeline runs."""
+    started = []  # the cells themselves, so that no id is reused
+    real = geometry._cramer_vertices
+
+    def cramer_vertices(cell):
+        started.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(geometry, "_cramer_vertices", cramer_vertices)
+
+    def ask(cell):
+        for question in (
+            lambda: geometry._vertices(cell), lambda: bounding_box(cell),
+            lambda: vertices(cell), lambda: is_empty(cell), lambda: sample_point(cell),
+            lambda: remove_redundancy(cell), lambda: bounding_box(cell),
+        ):
+            question()
+
+    bounded = Cell(2, [constraint([-1, 0], 0), constraint([0, -1], 0), constraint([1, 1], 2, True)])
+    unbounded = Cell(2, [constraint([-1, 0], 0, True), constraint([1, -1], 1)])
+    ask(bounded)
+    ask(unbounded)
+    assert started[0] is bounded and started[1] is unbounded
+    # the unbounded cell's box tested a ray along each side, one cone each
+    cones = [c for c in started[2:] if all(r.offset == 0 for r in c.constraints)]
+    assert len(cones) == 4 and bounding_box(unbounded) == ((0, None), (-1, None))
+    target = _box2(0, 2, 1, 3)
+    pre = find_pre(Region((target,)), LinearSystem.of([[1, 1], [1, 1]])).cells[0]
+    ask(pre)
+    assert bounding_box(pre) == ((None, None), (None, None))
+    for doc in (rank_one_doc(), three_d_doc()):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert run_pipeline(load_problem(path)).exit_code == 0
+    golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
+    assert run_pipeline(load_problem(golden)).exit_code == 0
+    assert pre in started and target in started
+    assert len(started) > 100
+    assert len({id(c) for c in started}) == len(started)
 
 
 def test_transitions_are_proven_at_the_vertices(paper_spec, paper_build):
