@@ -56,16 +56,28 @@ def lp_calls(monkeypatch):
     return calls
 
 
+class _Starts(list):
+    """The rows of each Cramer start since the last ``clear``; ``cells``
+    holds every cell started during the test, which keeps them alive, so
+    that two of them share an id only if one cell was started twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = []
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """A list that grows by one for every Cramer start while the test
     runs: a cell with no source clipped from its Cramer box, which gives
-    its vertices or finds it unbounded (its rows are recorded)."""
-    calls = []
+    its vertices or finds it unbounded (its rows are recorded, and the
+    cell itself in ``cells``)."""
+    calls = _Starts()
     real = geometry._cramer_vertices
 
     def cramer_vertices(cell):
         calls.append(cell.constraints)
+        calls.cells.append(cell)
         return real(cell)
 
     monkeypatch.setattr(geometry, "_cramer_vertices", cramer_vertices)

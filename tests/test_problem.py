@@ -352,7 +352,8 @@ def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
     ball and the regions, then the greedy tests of ``remove_redundancy``
     that the vertices leave open (on two_slice_2d, strict rows that touch
     a block on a lower face).  Under the singular A of rank_one the
-    unbounded preimages and the ray tests of their boxes take one too."""
+    unbounded preimages and the ray tests of their boxes take one too.
+    No cell object takes a second start."""
     golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
     problems = [(one_slice_doc(), 4), (golden, 10), (three_d_doc(), 15), (rank_one_doc(), 77)]
     for k, (problem, boxes) in enumerate(problems):
@@ -366,6 +367,7 @@ def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
         assert result.exit_code == 0
         assert lp_calls == []
         assert len(fallbacks) == boxes
+    assert len({id(c) for c in fallbacks.cells}) == len(fallbacks.cells) == 106
 
 
 def test_validated_regions_are_proven_again_for_other_sets():
