@@ -18,16 +18,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import InternalError
 from .geometry import (
     Cell,
-    Constraint,
     Region,
-    bounding_box,
     box_contains_scaled,
-    boxes_overlap,
     cell_subset,
     cells_disjoint,
     contains_scaled,
     difference,
-    intersect,
     is_empty,
     preimage_linear,
     remove_redundancy,
@@ -372,51 +368,6 @@ def cell_of(partition: Partition, x: Sequence) -> int:
     return partition.cell_of(x)
 
 
-def _covered(
-    target_cells: list[Cell], block_cells: list[Cell], depth: int = 0
-) -> bool:
-    """Exact check that the union of block_cells covers the target cells.
-
-    Recursively bisects the target along its widest bounding-box axis so
-    each leaf difference only sees the few blocks that can intersect it;
-    the result is identical to one big set difference, just cheaper.
-    """
-    target_cells = [c for c in target_cells if not is_empty(c)]
-    if not target_cells:
-        return True
-    cand = [
-        b
-        for b in block_cells
-        if any(boxes_overlap(b, t) for t in target_cells)
-    ]
-
-    def direct() -> bool:
-        return difference(
-            Region(tuple(target_cells)), Region(tuple(cand))
-        ).is_empty()
-
-    if len(cand) <= 12 or depth >= 16:
-        return direct()
-    n = target_cells[0].dim
-    boxes = [bounding_box(t) for t in target_cells]
-    if any(lo is None or hi is None for box in boxes for lo, hi in box):
-        return direct()
-    lo = [min(box[j][0] for box in boxes) for j in range(n)]
-    hi = [max(box[j][1] for box in boxes) for j in range(n)]
-    j = max(range(n), key=lambda k: hi[k] - lo[k])
-    if lo[j] == hi[j]:
-        return direct()
-    mid = (lo[j] + hi[j]) / 2
-    normal = tuple(Fraction(1 if k == j else 0) for k in range(n))
-    left = Cell(n, (Constraint(normal, mid, False),))
-    right = Cell(n, (Constraint(tuple(-v for v in normal), -mid, False),))
-    return _covered(
-        [intersect(t, left) for t in target_cells], cand, depth + 1
-    ) and _covered(
-        [intersect(t, right) for t in target_cells], cand, depth + 1
-    )
-
-
 def audit_partition(
     partition: Partition, regions: Sequence[ObservedRegion]
 ) -> dict[str, bool]:
@@ -425,7 +376,14 @@ def audit_partition(
     Checks four properties: blocks are pairwise disjoint, the blocks of
     each slice cover it exactly, every block lies inside its declared
     slice, and every block's cell is consistent with its observation.
+    Each cover (X by the slices, a slice by its blocks, a block by its
+    slice) is one ``difference``, empty iff the cells cover the targets;
+    a region block's purity is ``cell_subset`` of its region.
     """
+
+    def covered(targets: Iterable[Cell], cells: Iterable[Cell]) -> bool:
+        return difference(Region.of(targets), Region(tuple(cells))).is_empty()
+
     blocks = list(partition.blocks.values())
     by_slice: dict[int, list[Block]] = {}
     for b in blocks:
@@ -442,12 +400,12 @@ def audit_partition(
                 for cb in rb.cells:
                     if not cells_disjoint(ca, cb):
                         slices_disjoint = False
-    slices_cover = _covered([partition.x_cell], slice_cells)
+    slices_cover = covered([partition.x_cell], slice_cells)
 
     alignment = True
     for b in blocks:
         sr = partition.slice_regions[b.slice_index]
-        if not _covered([b.cell], list(sr.cells)):
+        if not covered([b.cell], sr.cells):
             alignment = False
 
     disjoint = slices_disjoint
@@ -460,7 +418,7 @@ def audit_partition(
     coverage = slices_cover
     for i, sr in enumerate(partition.slice_regions):
         group = by_slice.get(i, [])
-        if not _covered(list(sr.cells), [b.cell for b in group]):
+        if not covered(sr.cells, [b.cell for b in group]):
             coverage = False
 
     purity = True
@@ -471,10 +429,7 @@ def audit_partition(
             continue
         if b.observation.is_region:
             match = [r for r in regions if r.label == b.observation.label]
-            ok = len(match) == 1 and difference(
-                Region((b.cell,)), Region((match[0].cell,))
-            ).is_empty()
-            if not ok:
+            if len(match) != 1 or not cell_subset(b.cell, match[0].cell):
                 purity = False
         else:
             for r in regions:
@@ -523,17 +478,23 @@ def export_quotient(quotient: QuotientTS, partition: Partition) -> str:
     Deterministic: states ordered by (slice index, id), constraints in
     stored order, rationals always printed as p/q.
     """
-    lines = []
-    for b in partition.ordered_blocks():
-        lines.append(
-            f"state {b.id} slice={b.slice_index} obs={b.observation.label} "
-            f"-> {quotient.transitions[b.id]}"
-        )
-        for c in b.cell.constraints:
-            rel = "<" if c.strict else "<="
-            coeffs = " ".join(_format_fraction(a) for a in c.normal)
-            lines.append(f"  {coeffs} {rel} {_format_fraction(c.offset)}")
+    lines = [
+        line for b in partition.ordered_blocks() for line in _block_lines(quotient, b)
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _block_lines(quotient: QuotientTS, b: Block) -> list[str]:
+    """One block's export lines: its state line, then one line per row."""
+    lines = [
+        f"state {b.id} slice={b.slice_index} obs={b.observation.label} "
+        f"-> {quotient.transitions[b.id]}"
+    ]
+    for c in b.cell.constraints:
+        rel = "<" if c.strict else "<="
+        coeffs = " ".join(_format_fraction(a) for a in c.normal)
+        lines.append(f"  {coeffs} {rel} {_format_fraction(c.offset)}")
+    return lines
 
 
 def parse_quotient(text: str):

@@ -455,9 +455,10 @@ def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fractio
 
 def _cramer_box(cell: Cell):
     """An unbounded R's box: the box of its Cramer clip, which holds every
-    bound that R has, with a side open where R's recession cone {A d <= 0}
-    has a ray along it."""
-    n = cell.dim
+    bound that R has.  A side the clip reaches (at -H or H) is open, as
+    R's bounds lie strictly inside the box (``_vertices``); any other side
+    is open where R's recession cone {A d <= 0} has a ray along it."""
+    n, h = cell.dim, _cramer_bound(cell)
     cone = [Constraint(c.normal, _ZERO) for c in cell.constraints]
 
     def ray(j: int, sign: int) -> bool:  # a direction d with sign * d_j > 0
@@ -466,7 +467,10 @@ def _cramer_box(cell: Cell):
 
     box, cell._clip_box = cell._clip_box, None
     return tuple(
-        (None if ray(j, -1) else lo, None if ray(j, 1) else hi)
+        (
+            None if lo == -h or ray(j, -1) else lo,
+            None if hi == h or ray(j, 1) else hi,
+        )
         for j, (lo, hi) in enumerate(box)
     )
 
@@ -571,14 +575,19 @@ def _cramer_vertices(cell: Cell) -> tuple:
     subsystem (Schrijver 1986, section 10), each |x_j| at most a
     determinant of order <= n + 1 with entries <= K, so at most H
     (Hadamard): a point of the box with every strict row slack."""
-    n, k = cell.dim, len(cell.constraints)
-    big = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
-    h = (n + 1) ** ((n + 2) // 2) * big ** (n + 1)
+    n, k, h = cell.dim, len(cell.constraints), _cramer_bound(cell)
     corners = [
         (x, 1, sum(1 << (k + 2 * j + (v < 0)) for j, v in enumerate(x)))
         for x in product((-h, h), repeat=n)
     ]
     return _clip(corners, _int_rows(cell), 0, n)
+
+
+def _cramer_bound(cell: Cell) -> int:
+    """H of the cell's Cramer box [-H, H]^n (``_cramer_vertices``)."""
+    n = cell.dim
+    big = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
+    return (n + 1) ** ((n + 2) // 2) * big ** (n + 1)
 
 
 def _clip(verts, rows, first: int, n: int) -> tuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .abstraction import Partition, QuotientTS
+from .abstraction import Partition, QuotientTS, _block_lines
 from .geometry import Region
 from .logic import BuchiAutomaton, Formula, formula_atoms, label
 
@@ -238,14 +238,8 @@ def export_satisfying(
 ) -> str:
     """Same H-representation text as the quotient export, restricted to
     satisfying states, with a one-line summary up front."""
-    from .abstraction import export_quotient
-
     lines = [f"satisfying: {len(sat.state_ids)} of {len(quotient.states)} states"]
-    full = export_quotient(quotient, partition)
-    keep = False
-    for line in full.splitlines():
-        if line.startswith("state "):
-            keep = int(line.split()[1]) in sat.state_ids
-        if keep:
-            lines.append(line)
+    for b in partition.ordered_blocks():
+        if b.id in sat.state_ids:
+            lines += _block_lines(quotient, b)
     return "\n".join(lines) + "\n"

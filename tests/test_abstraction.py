@@ -1,6 +1,7 @@
 """Partition construction, refinement, quotient build and text export."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from polybisim.lyapunov import (
     sublevel_cell,
 )
 from polybisim.simulate import simulate
+from test_verify import _problem
 
 
 def F(v):
@@ -327,26 +329,42 @@ def test_point_queries_reject_the_wrong_dimension(small2d):
             contains_point(partition.x_cell, bad)
 
 
-def test_audit_detects_injected_defects(small2d):
-    sys, lf, regions, _, _ = small2d
-    quotient, part = build_quotient(sys, lf, 1, 4, regions)
-    victim = max(part.blocks)
-    removed = part.blocks.pop(victim)
-    res = audit_partition(part, regions)
-    assert res["coverage"] is False
-    assert res["disjointness"] is True
-    # duplicate a block under a fresh id: disjointness must now fail
-    part.blocks[victim] = removed
-    clone = removed.__class__(
-        part.fresh_id(),
-        removed.cell,
-        removed.observation,
-        removed.slice_index,
-        removed.successor,
-    )
-    part.blocks[clone.id] = clone
-    res = audit_partition(part, regions)
-    assert res["disjointness"] is False
+@pytest.mark.parametrize("name", ["small2d", "three_d", "four_d"])
+def test_audit_detects_injected_defects(name, small2d):
+    """Each defect breaks its property, and only it (a block moved to
+    another slice also leaves its own slice uncovered)."""
+    if name == "small2d":
+        sys, lf, regions, _, _ = small2d
+        problem = (sys, lf, 1, 4, regions)
+    else:
+        problem = _problem(name)
+        regions = problem[-1]
+    _, part = build_quotient(*problem)
+    blocks = dict(part.blocks)
+    assert len(part.slice_regions) >= 3
+
+    def audit(*changed):
+        part.blocks = {**blocks, **{b.id: b for b in changed}}
+        return {k for k, ok in audit_partition(part, regions).items() if not ok}
+
+    assert audit() == set()
+    # a dropped block leaves its slice uncovered
+    victim = blocks.pop(max(blocks))
+    assert audit() == {"coverage"}
+    blocks[victim.id] = victim
+    # a clone under a fresh id overlaps its original
+    assert audit(replace(victim, id=part.fresh_id())) == {"disjointness"}
+    # a block of slice 1 that claims another slice
+    moved = next(b for b in blocks.values() if b.slice_index == 1)
+    assert audit(replace(moved, slice_index=2)) == {"slice_alignment", "coverage"}
+    # a region block relabelled unobserved, or to another region
+    inside = next(b for b in blocks.values() if b.observation.is_region)
+    wrong = [OBS_EMPTY] + [
+        Observation(r.label) for r in regions if r.label != inside.observation.label
+    ]
+    assert len(wrong) == len(regions)
+    for obs in wrong:
+        assert audit(replace(inside, observation=obs)) == {"observation_purity"}
 
 
 def test_export_round_trip(small2d):

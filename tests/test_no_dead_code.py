@@ -1,11 +1,20 @@
 """Every module-level private function of the package is used: it is
 referenced somewhere in the package outside its own ``def``, so a helper
-left behind by a refactor fails here."""
+left behind by a refactor fails here.  Every name a package module
+imports is read in that module, so an import left behind by a deleted
+helper fails too."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polybisim"
+
+# Imported for callers, not read in the module: (module, name).  The
+# package's ``__init__.py`` re-exports everything it imports and is exempt.
+RE_EXPORTS = {
+    ("problem.py", "REGION_DOMAIN"),
+    ("problem.py", "REGION_OVERLAP"),
+}
 
 
 def _names(node):
@@ -29,3 +38,41 @@ def test_every_private_function_is_referenced():
                     defined.append((path.name, own))
             used.update(name for name in _names(stmt) if name != own)
     assert [f"{m}:{name}" for m, name in defined if name not in used] == []
+
+
+def _unread_imports(tree, module):
+    """The names the module binds by an import and never reads."""
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append(name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return [
+        f"{module}:{name}"
+        for name in imported
+        if name not in read and (module, name) not in RE_EXPORTS
+    ]
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            unread += _unread_imports(ast.parse(path.read_text(), str(path)), path.name)
+    assert unread == []
+
+
+def test_an_unread_import_is_caught():
+    tree = ast.parse(
+        "import os\nimport os.path as p\nfrom math import gcd, lcm\n"
+        "from .geometry import Region as R\nprint(lcm(1, 2), p)\n"
+    )
+    assert _unread_imports(tree, "m.py") == ["m.py:os", "m.py:gcd", "m.py:R"]
+    assert _unread_imports(ast.parse("from . import problem\n"), "problem.py") == [
+        "problem.py:problem"
+    ]

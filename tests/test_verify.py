@@ -285,6 +285,25 @@ def _problem(name):
                 ObservedRegion("s", _box([-1, "-1.5", -1], [1, "-1.1", 1])),
             ],
         )
+    if name == "four_d":
+        # three_d with a fourth coordinate driven by the third: 63 states
+        return (
+            LinearSystem.of(
+                [
+                    ["1/2", 0, 0, 0],
+                    [0, "1/2", "-1/4", 0],
+                    [0, "1/4", "1/2", 0],
+                    [0, 0, "1/8", "1/2"],
+                ]
+            ),
+            PolyhedralLF.of([[int(i == j) for j in range(4)] for i in range(4)], "0.75"),
+            1,
+            "1.5",
+            [
+                ObservedRegion("r", _box(["1.1", -1, -1, -1], ["1.5", 1, 1, 1])),
+                ObservedRegion("s", _box([-1, "-1.5", -1, -1], [1, "-1.1", 1, 1])),
+            ],
+        )
     if name == "rank_one":
         # A maps the plane onto the diagonal: a singular A, two slices
         return (
@@ -414,7 +433,7 @@ def test_label_quotient_rejects_undeclared_atoms():
 
 
 @pytest.mark.parametrize(
-    "name", ["toy_1d", "two_slice_2d", "three_d", "rank_one"]
+    "name", ["toy_1d", "two_slice_2d", "three_d", "four_d", "rank_one"]
 )
 def test_quotient_is_an_exact_bisimulation(name):
     """Every non-target block maps into its successor: it meets no
