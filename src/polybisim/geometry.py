@@ -16,9 +16,10 @@ them from the cell it comes from: ``intersect`` clips one operand's
 vertices by the other operand's rows, one double-description step per row
 (Fukuda & Prodon 1996), ``preimage_linear`` maps them by A^-1 when A is
 invertible, and ``remove_redundancy`` hands them on.  Any other cell clips
-its Cramer box [-H, H]^n, which holds every vertex of a bounded R and a
-point of every non-empty one (``_vertices``); a clipped vertex tight on a
-side of the box marks R unbounded.  From the vertices:
+its Cramer box [-S, S]^n, S = H(2H + 1) for a Hadamard bound H that
+every vertex of a bounded R and a point of every non-empty one lie
+within (``_vertices``); a clipped vertex tight on a side of the box marks
+R unbounded.  From the vertices:
 
 - the bounding box is their minimum and maximum per coordinate;
 - the cell is empty iff R has no vertex or a strict row is tight at every
@@ -30,8 +31,7 @@ side of the box marks R unbounded.  From the vertices:
   positive-multiple twin.
 
 An unbounded cell is decided by the same rule on its clip, and a side of
-its box is open where R's recession cone has a ray along it.  No LP is
-solved.
+its box is open where the clip goes past -H or H.  No LP is solved.
 
 Point membership runs on integer-scaled rows: each row a.x <= b (or <)
 is multiplied once by the positive lcm of its denominators, each point
@@ -105,7 +105,7 @@ class Cell:
 
     __slots__ = (
         "dim", "constraints", "_empty", "_sample", "_bbox", "_rows", "_verts",
-        "_src", "_pieces", "_clip_box",
+        "_src", "_pieces",
     )
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
@@ -124,8 +124,6 @@ class Cell:
         self._verts = None
         self._src = None
         self._pieces = None
-        # an unbounded cell's box of its Cramer clip, until bounding_box
-        self._clip_box = None
 
     def __repr__(self):
         return f"Cell(dim={self.dim}, k={len(self.constraints)})"
@@ -445,34 +443,14 @@ def _remap(z: int, index: list[int]) -> int:
 def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fraction]], ...]:
     """Per-coordinate (min, max) of the closure; None marks unbounded, and
     an empty closure gets (0, -1) in every coordinate.  It is the minimum
-    and maximum of R's vertices, or ``_cramer_box`` for an unbounded R.
+    and maximum of R's vertices; an unbounded R's box comes with the clip
+    that finds it unbounded (``_vertices``).
     """
     if cell._bbox is None:
         verts = _vertices(cell)
-        cell._bbox = _cramer_box(cell) if verts is None else _vertex_box(verts, cell.dim)
+        if cell._bbox is None:
+            cell._bbox = _vertex_box(verts, cell.dim)
     return cell._bbox
-
-
-def _cramer_box(cell: Cell):
-    """An unbounded R's box: the box of its Cramer clip, which holds every
-    bound that R has.  A side the clip reaches (at -H or H) is open, as
-    R's bounds lie strictly inside the box (``_vertices``); any other side
-    is open where R's recession cone {A d <= 0} has a ray along it."""
-    n, h = cell.dim, _cramer_bound(cell)
-    cone = [Constraint(c.normal, _ZERO) for c in cell.constraints]
-
-    def ray(j: int, sign: int) -> bool:  # a direction d with sign * d_j > 0
-        normal = vec(-sign * (i == j) for i in range(n))
-        return not is_empty(Cell(n, cone + [Constraint(normal, _ZERO, True)]))
-
-    box, cell._clip_box = cell._clip_box, None
-    return tuple(
-        (
-            None if lo == -h or ray(j, -1) else lo,
-            None if hi == h or ray(j, 1) else hi,
-        )
-        for j, (lo, hi) in enumerate(box)
-    )
 
 
 def _vertex_box(verts, dim: int):
@@ -489,25 +467,36 @@ def _vertex_box(verts, dim: int):
 
 def _vertices(cell: Cell):
     """R's vertices, derived from the cell's source (``_derived``), or else
-    clipped from its Cramer box [-H, H]^n (``_cramer_vertices``); None
-    when R is unbounded.
+    clipped from its Cramer box [-S, S]^n, S = H(2H + 1)
+    (``_cramer_vertices``); None when R is unbounded.
 
     The clip is exact.  H exceeds n^(n/2) K^n, which bounds every Cramer's
-    rule solution of n of the integer rows (Hadamard), K their largest
-    absolute entry.
+    rule solution of at most n of the integer rows, or of them and x_j = 1
+    (Hadamard), K their largest absolute entry.
 
     - Bounded R: its every vertex is such a solution, so R lies strictly
-      inside the box.  No clipped vertex is tight on a side of the box,
+      inside [-H, H]^n.  No clipped vertex is tight on a side of the box,
       and the clipped vertices are exactly R's (none when R is empty).
-    - Unbounded, non-empty R: it has a point in the box (a basic solution
-      of a minimal face) but is not contained in it, so R and the box
-      meet on a facet of the box.  That face of the polytope R & box holds
-      a vertex, tight on a side of the box.
+    - Unbounded, non-empty R: it has a point in [-H, H]^n (a basic
+      solution of a minimal face) but is not contained in the box, so R
+      and the box meet on a facet of the box.  That face of the polytope
+      R & box holds a vertex, tight on a side of the box.
 
     So a clipped vertex tight on a side of the box marks R unbounded: the
     cache holds False, and the clip settles the cell's emptiness and
-    sample (it holds a point of the cell if the cell has one) and keeps
-    its box for ``bounding_box``.  No cell is clipped twice.
+    sample (it holds a point of the cell if the cell has one) and its box,
+    the clip's minimum and maximum with every side past -H or H open:
+
+    - Bounded side.  A finite sup of x_j over R is attained on a minimal
+      face, at a basic solution, so |sup| < H.  That point lies inside
+      the box, so the clip's maximum of x_j equals the sup.
+    - Open side.  R has a basic point p with |p_i| < H.  Its recession
+      cone {A d <= 0} has a basic direction d with d_j = 1 (solve
+      A d <= 0, d_j = 1), and |d_i| < H.  The point p + 2H d lies in R
+      and in the box (|coordinate| < H + 2H^2 <= S), and its x_j is
+      greater than H.
+
+    The minimum likewise.  No cell is clipped twice.
     """
     verts = cell._verts
     if verts is None:
@@ -518,7 +507,11 @@ def _vertices(cell: Cell):
             if any(z >> k for _, _, z in verts):
                 if cell._empty is None:
                     _settle(cell, verts)
-                cell._clip_box = _vertex_box(verts, cell.dim)
+                h = _cramer_bound(cell)
+                cell._bbox = tuple(
+                    (None if lo < -h else lo, None if hi > h else hi)
+                    for lo, hi in _vertex_box(verts, cell.dim)
+                )
                 verts = False
         cell._verts, cell._src = verts, None
     return None if verts is False else verts
@@ -563,11 +556,10 @@ def _derived(cell: Cell):
 
 
 def _cramer_vertices(cell: Cell) -> tuple:
-    """The vertices of R clipped to [-H, H]^n, H = (n+1)^ceil((n+1)/2)
-    K^(n+1) for K the largest absolute entry of the integer rows (>= 1,
-    as a normal is non-zero) and of the margin column.  The box's integer
-    corners, with x_j <= H and x_j >= -H as bits k + 2j and k + 2j + 1 past
-    the cell's k rows, are clipped by every row.
+    """The vertices of R clipped to [-S, S]^n, S = H(2H + 1) for H of
+    ``_cramer_bound``.  The box's integer corners, with x_j <= S and
+    x_j >= -S as bits k + 2j and k + 2j + 1 past the cell's k rows, are
+    clipped by every row.
 
     The cell has a point iff A.x + s t <= B, 0 <= t <= 1 has a solution
     with t > 0 (s_i = 1 on a strict row: the margin column t).  Then t's
@@ -576,15 +568,19 @@ def _cramer_vertices(cell: Cell) -> tuple:
     determinant of order <= n + 1 with entries <= K, so at most H
     (Hadamard): a point of the box with every strict row slack."""
     n, k, h = cell.dim, len(cell.constraints), _cramer_bound(cell)
+    s = h * (2 * h + 1)
     corners = [
         (x, 1, sum(1 << (k + 2 * j + (v < 0)) for j, v in enumerate(x)))
-        for x in product((-h, h), repeat=n)
+        for x in product((-s, s), repeat=n)
     ]
     return _clip(corners, _int_rows(cell), 0, n)
 
 
 def _cramer_bound(cell: Cell) -> int:
-    """H of the cell's Cramer box [-H, H]^n (``_cramer_vertices``)."""
+    """H = (n+1)^ceil((n+1)/2) K^(n+1), for K the largest absolute entry
+    of the integer rows (>= 1, as a normal is non-zero) and of the margin
+    column: it bounds every Cramer's rule solution that ``_vertices`` and
+    ``_cramer_vertices`` use."""
     n = cell.dim
     big = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
     return (n + 1) ** ((n + 2) // 2) * big ** (n + 1)

@@ -73,36 +73,11 @@ class Or(Formula):
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def __str__(self):
-        return f"({self.left} -> {self.right})"
-
-
-@dataclass(frozen=True)
 class Next(Formula):
     operand: Formula
 
     def __str__(self):
         return f"X {self.operand}"
-
-
-@dataclass(frozen=True)
-class Eventually(Formula):
-    operand: Formula
-
-    def __str__(self):
-        return f"F {self.operand}"
-
-
-@dataclass(frozen=True)
-class Always(Formula):
-    operand: Formula
-
-    def __str__(self):
-        return f"G {self.operand}"
 
 
 @dataclass(frozen=True)
@@ -203,7 +178,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.implication())
+            return Or(Not(left), self.implication())
         return left
 
     def disjunction(self) -> Formula:
@@ -237,10 +212,10 @@ class _Parser:
             return Next(self.unary())
         if tok == "F":
             self.take()
-            return Eventually(self.unary())
+            return Until(TrueF(), self.unary())
         if tok == "G":
             self.take()
-            return Always(self.unary())
+            return Not(Until(TrueF(), Not(self.unary())))
         if tok == "(":
             self.take()
             f = self.implication()
@@ -263,6 +238,8 @@ class _Parser:
 
 
 def parse_ltl(text: str, atoms: Optional[Iterable[str]] = None) -> Formula:
+    """The formula in the core nodes: F a is read as true U a, G a as
+    !(true U !a) and a -> b as !a | b."""
     return _Parser(_tokenize(text), atoms).parse()
 
 
@@ -271,14 +248,14 @@ def formula_atoms(f: Formula) -> set[str]:
         return {f.name}
     if isinstance(f, (TrueF, FalseF)):
         return set()
-    if isinstance(f, (Not, Next, Eventually, Always)):
+    if isinstance(f, (Not, Next)):
         return formula_atoms(f.operand)
     return formula_atoms(f.left) | formula_atoms(f.right)
 
 
 def nnf(f: Formula, negate: bool = False) -> Formula:
     """Negation normal form over {atoms, literals, And, Or, Next, Until,
-    Release}; F and G are rewritten away."""
+    Release}."""
     if isinstance(f, TrueF):
         return FalseF() if negate else TrueF()
     if isinstance(f, FalseF):
@@ -287,8 +264,6 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
         return Not(f) if negate else f
     if isinstance(f, Not):
         return nnf(f.operand, not negate)
-    if isinstance(f, Implies):
-        return nnf(Or(Not(f.left), f.right), negate)
     if isinstance(f, And):
         a, b = nnf(f.left, negate), nnf(f.right, negate)
         return Or(a, b) if negate else And(a, b)
@@ -297,10 +272,6 @@ def nnf(f: Formula, negate: bool = False) -> Formula:
         return And(a, b) if negate else Or(a, b)
     if isinstance(f, Next):
         return Next(nnf(f.operand, negate))
-    if isinstance(f, Eventually):
-        return nnf(Until(TrueF(), f.operand), negate)
-    if isinstance(f, Always):
-        return nnf(Release(FalseF(), f.operand), negate)
     if isinstance(f, Until):
         a, b = nnf(f.left, negate), nnf(f.right, negate)
         return Release(a, b) if negate else Until(a, b)
@@ -475,8 +446,8 @@ def label(f: Formula, letters: Sequence[Letter], succ: Sequence[int]) -> list[bo
 
     Every run of such a structure is ultimately periodic, so each subformula
     holds at k iff it holds on letters[k] and at succ[k]; Until is the least
-    fixpoint of that rule, and Always and Release are the negated least
-    fixpoints of their negated operands.
+    fixpoint of that rule, and Release is the negated least fixpoint of
+    its negated operands.
     """
     n = len(letters)
 
@@ -495,19 +466,11 @@ def label(f: Formula, letters: Sequence[Letter], succ: Sequence[int]) -> list[bo
         if isinstance(g, Or):
             a, b2 = sets(g.left), sets(g.right)
             return [x or y for x, y in zip(a, b2)]
-        if isinstance(g, Implies):
-            a, b2 = sets(g.left), sets(g.right)
-            return [(not x) or y for x, y in zip(a, b2)]
         if isinstance(g, Next):
             a = sets(g.operand)
             return [a[k] for k in succ]
-        if isinstance(g, Eventually):
-            return _lfp([True] * n, sets(g.operand), succ)
         if isinstance(g, Until):
             return _lfp(sets(g.left), sets(g.right), succ)
-        if isinstance(g, Always):
-            goal = [not v for v in sets(g.operand)]
-            return [not v for v in _lfp([True] * n, goal, succ)]
         if isinstance(g, Release):
             hold = [not v for v in sets(g.left)]
             goal = [not v for v in sets(g.right)]

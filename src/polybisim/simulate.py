@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .abstraction import (
@@ -135,16 +136,24 @@ def _jitter(cell: Cell, rng: random.Random) -> Vector:
 
 
 def sample_states(
-    partition: Partition, per_block: int, seed: int
+    partition: Partition, count: int, seed: int
 ) -> list[tuple[int, Vector]]:
-    """Block-directed sampling: every block contributes, so lower
-    dimensional slivers are exercised too."""
+    """``count`` block-directed samples.  The blocks are visited in a
+    seeded order that takes the slices in turn, again and again: a
+    block's interior sample on its first visit, a random point of it on
+    each later one.  So a count of at least the number of blocks samples
+    every block, lower dimensional slivers too, and a smaller count
+    samples every slice that it can."""
     rng = random.Random(seed)
-    out = []
+    by_slice: dict[int, list] = {}
     for b in partition.ordered_blocks():
-        out.append((b.id, sample_point(b.cell)))
-        for _ in range(per_block - 1):
-            out.append((b.id, _jitter(b.cell, rng)))
+        by_slice.setdefault(b.slice_index, []).append(b)
+    turns = zip_longest(*(rng.sample(group, len(group)) for group in by_slice.values()))
+    order = [b for turn in turns for b in turn if b is not None]
+    out = []
+    for k in range(count):
+        b = order[k % len(order)]
+        out.append((b.id, sample_point(b.cell) if k < len(order) else _jitter(b.cell, rng)))
     return out
 
 
@@ -160,9 +169,7 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Check word equivalence (and, when a formula is given, verdict
     equivalence) on block-directed samples.  Both checks are exact."""
-    n_blocks = len(partition.blocks)
-    per_block = max(1, -(-sample_count // n_blocks))
-    samples = sample_states(partition, per_block, seed)[:sample_count]
+    samples = sample_states(partition, sample_count, seed)
     max_steps = len(partition.slice_regions) + 1
 
     outcomes = []

@@ -21,6 +21,7 @@ _FILL_BY_OBS = {
 }
 _REGION_FILL = "#9fd49b"
 _HIGHLIGHT_FILL = "#9b6bbf"
+_SIZE = 640
 
 
 def cell_vertices(cell: Cell) -> list[tuple[Fraction, Fraction]]:
@@ -57,9 +58,7 @@ def _polygon(points, fill: str, stroke: str, opacity: str = "1.0") -> str:
 
 
 def render_partition_svg(
-    partition: Partition,
-    highlight: Optional[Region] = None,
-    size: int = 640,
+    partition: Partition, highlight: Optional[Region] = None
 ) -> str:
     """Partition blocks colored by observation, highlight filled on top."""
     if partition.dim != 2:
@@ -73,8 +72,8 @@ def render_partition_svg(
     vh = float(yhi - ylo + 2 * pad)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
     for b in partition.ordered_blocks():
         pts = cell_vertices(b.cell)

@@ -14,12 +14,9 @@ import pytest
 from polybisim.abstraction import audit_partition, build_quotient, quotient_word
 from polybisim.geometry import apply_matrix
 from polybisim.logic import (
-    Always,
     And,
     Atom,
-    Eventually,
     FalseF,
-    Implies,
     LassoWord,
     Next,
     Not,
@@ -27,6 +24,7 @@ from polybisim.logic import (
     TrueF,
     Until,
     eval_ltl_lasso,
+    label,
     parse_ltl,
     to_buchi,
 )
@@ -44,6 +42,18 @@ from polybisim.verify import (
     satisfying_states,
 )
 from product_reference import accepted_lassos, f_star_fixpoint, lasso_structure
+
+
+def _eventually(a):
+    return Until(TrueF(), a)
+
+
+def _always(a):
+    return Not(Until(TrueF(), Not(a)))
+
+
+def _implies(a, b):
+    return Or(Not(a), b)
 
 
 def _report(name, ok, extra=""):
@@ -91,14 +101,7 @@ def test_criterion_3_quotient_soundness(paper_spec, paper_build):
     audits = audit_partition(partition, list(paper_spec.regions))
     ok_audits = all(audits.values())
 
-    samples = sample_states(partition, per_block=1, seed=11)
-    rng = random.Random(13)
-    from polybisim.simulate import _jitter
-
-    while len(samples) < 1000:
-        b = partition.blocks[rng.choice(list(partition.blocks))]
-        samples.append((b.id, _jitter(b.cell, rng)))
-    samples = samples[:1000]
+    samples = sample_states(partition, 1000, seed=11)
     agree = 0
     for block_id, x in samples:
         b = partition.blocks[block_id]
@@ -142,23 +145,42 @@ def _random_formula(rng, depth):
     if op == 1:
         return Next(_random_formula(rng, depth - 1))
     if op == 2:
-        return Eventually(_random_formula(rng, depth - 1))
+        return _eventually(_random_formula(rng, depth - 1))
     if op == 3:
-        return Always(_random_formula(rng, depth - 1))
+        return _always(_random_formula(rng, depth - 1))
     l, r = _random_formula(rng, depth - 1), _random_formula(rng, depth - 1)
-    return [And, Or, Implies, Until][op - 4](l, r)
+    return [And, Or, _implies, Until][op - 4](l, r)
+
+
+def _unrollings(lassos):
+    """(letters, succ, starts): each lasso's own unrolling, as
+    ``eval_ltl_lasso`` lays it out, end to end, lasso k from starts[k]."""
+    letters, succ, starts = [], [], []
+    for w in lassos:
+        start = len(letters)
+        starts.append(start)
+        letters += w.prefix + w.cycle
+        succ += [*range(start + 1, start + len(w)), start + len(w.prefix)]
+    return letters, succ, starts
 
 
 def test_criterion_5_translation_oracle_sweep():
+    """The automaton of each formula accepts exactly the lassos that the
+    oracle, one ``label`` call on all the unrollings, finds it true on;
+    the first formula's oracle is checked against ``eval_ltl_lasso``."""
     t0 = time.monotonic()
     lassos = lasso_structure().words
+    letters, succ, starts = _unrollings(lassos)
     rng = random.Random(19)
     mismatches = 0
-    for _ in range(100):
+    for k in range(100):
         f = _random_formula(rng, 4)
         accepted = accepted_lassos(to_buchi(f))
-        for w in lassos:
-            if (w in accepted) != eval_ltl_lasso(f, w):
+        truth = label(f, letters, succ)
+        if k == 0:
+            assert [truth[s] for s in starts] == [eval_ltl_lasso(f, w) for w in lassos]
+        for w, s in zip(lassos, starts):
+            if (w in accepted) != truth[s]:
                 mismatches += 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 120

@@ -2,9 +2,11 @@
 
 import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polybisim import load_problem
 from polybisim.abstraction import ObservedRegion, build_quotient
 from polybisim.geometry import Cell, constraint, contains_point
 from polybisim.logic import parse_ltl
@@ -99,14 +101,14 @@ def _small2d():
 
 def test_sample_states_belong_to_their_blocks():
     _, _, partition, _ = _small2d()
-    for block_id, x in sample_states(partition, 3, seed=5):
+    for block_id, x in sample_states(partition, 3 * len(partition.blocks), seed=5):
         assert contains_point(partition.blocks[block_id].cell, x)
 
 
 def test_trajectory_length_bounded_by_slice_count():
     sys, quotient, partition, regions = _small2d()
     n_slices = len(partition.slice_regions)
-    for _, x in sample_states(partition, 2, seed=9):
+    for _, x in sample_states(partition, 2 * len(partition.blocks), seed=9):
         traj = simulate(
             sys, partition.x_cell, partition.d_cell, regions, x, n_slices + 1
         )
@@ -129,3 +131,36 @@ def test_cross_validation_clean_on_small2d():
     lines = report.detail_lines()
     assert len(lines) == len(report.samples)
     assert all("word_ok=True" in ln for ln in lines)
+
+
+def test_cross_validation_samples_every_block_or_every_slice(monkeypatch):
+    """A count of at least the number of blocks samples every block, the
+    outermost slice's too, and a smaller count every slice; a random
+    point is drawn only for a sample past the first one of its block."""
+    spec = load_problem(Path(__file__).resolve().parent / "golden" / "two_slice_2d.json")
+    quotient, partition = build_quotient(
+        spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
+    )
+    blocks = len(partition.blocks)
+    assert blocks == 35
+    module = importlib.import_module("polybisim.simulate")
+    real, jitters = module._jitter, []
+
+    def jitter(cell, rng):
+        jitters.append(cell)
+        return real(cell, rng)
+
+    monkeypatch.setattr(module, "_jitter", jitter)
+    for count in (20, 35, 36, 70):
+        jitters.clear()
+        report = cross_validate(
+            spec.system, quotient, partition, spec.regions, None, None, count, seed=count
+        )
+        assert len(report.samples) == count and report.mismatches == 0
+        hit = {partition.cell_of(s.point) for s in report.samples}
+        if count >= blocks:
+            assert hit == set(partition.blocks)
+        else:
+            slices = {partition.blocks[i].slice_index for i in hit}
+            assert slices == set(range(len(partition.slice_regions)))
+        assert len(jitters) == max(0, count - blocks)

@@ -18,14 +18,11 @@ from polybisim.geometry import (
     preimage_linear,
 )
 from polybisim.logic import (
-    Always,
     And,
     Atom,
     BuchiAutomaton,
     Edge,
-    Eventually,
     FalseF,
-    Implies,
     Next,
     Not,
     Or,
@@ -46,6 +43,19 @@ from polybisim.verify import (
     satisfying_states,
 )
 from product_reference import f_star_fixpoint, full_product, lasso_structure
+
+
+def _eventually(a):
+    return Until(TrueF(), a)
+
+
+def _always(a):
+    return Not(Until(TrueF(), Not(a)))
+
+
+def _implies(a, b):
+    return Or(Not(a), b)
+
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = {
@@ -336,15 +346,15 @@ def _random_formula(rng, atoms, depth):
     if op == 1:
         return Next(Next(sub()) if rng.random() < 0.5 else sub())
     if op == 2:
-        return Eventually(sub())
+        return _eventually(sub())
     if op == 3:
-        return Always(sub())
+        return _always(sub())
     if op == 4:
         return And(sub(), sub())
     if op == 5:
         return Or(sub(), sub())
     if op == 6:
-        return Implies(sub(), sub())
+        return _implies(sub(), sub())
     if op == 7:
         return Until(leaf(), Until(leaf(), sub()))
     return Until(sub(), sub())
@@ -379,7 +389,7 @@ def _nested_until(rng, atoms):
     f = lit()
     for _ in range(rng.randint(3, 4)):
         f = Until(lit(), f)
-    return And(f, Always(Eventually(lit())))
+    return And(f, _always(_eventually(lit())))
 
 
 @pytest.mark.parametrize("name", ["toy_1d", "two_slice_2d", "three_d", "lassos"])

@@ -171,7 +171,7 @@ def _case(rng, n):
 def _steep_cone(rng, n):
     """x_1 >= c and k_j x_j - x_(j+1) <= c_j with k_j about 100, rows in
     random order, some strict: for n > 1, the Cramer clip stays far below
-    H along the open side x_1 <= ..., so that only the ray test opens it."""
+    the side S of its box along the open side x_1 <= ..., and passes H."""
     rows = [constraint(_unit(n, 0, -1), rng.randrange(0, 3), rng.random() < 0.3)]
     for j in range(n - 1):
         normal = [0] * n
@@ -247,17 +247,18 @@ def test_vertices_decide_what_the_lp_path_decides(n, lp_calls, fallbacks):
     if n == 1:
         return
     # steep cones, drawn apart so that the cases above stay as drawn
-    steep, opened = random.Random(1200 + n), Counter()
+    steep = random.Random(1200 + n)
     for _ in range(4):
         cone = _steep_cone(steep, n)
         fallbacks.clear()
         assert geometry._vertices(cone) is None and fallbacks == [cone.constraints]
-        clip = cone._clip_box
-        _check_against_the_lp(cone, "steep cone", False, opened, lp_calls, fallbacks)
-        # x_1 is open above, where the clip stays far below H = max x_n
-        if bounding_box(cone)[0][1] is None and clip[0][1] * 50 < clip[-1][1]:
-            opened["by the ray test"] += 1
-    assert opened["by the ray test"] >= 3, opened
+        _check_against_the_lp(cone, "steep cone", False, Counter(), lp_calls, fallbacks)
+        # x_1 is open above, where the clip passes H but stays far below
+        # the side S = max x_n of its box
+        clip = [[Fraction(v, m) for v in x] for x, m, _ in geometry._cramer_vertices(cone)]
+        top = max(p[0] for p in clip)
+        assert bounding_box(cone)[0][1] is None
+        assert geometry._cramer_bound(cone) < top and top * 50 < max(p[-1] for p in clip)
 
 
 def _check_against_the_lp(cell, how, cached, seen, lp_calls, fallbacks):
@@ -336,20 +337,22 @@ def test_find_pre_takes_a_cramer_box_only_for_a_singular_a(lp_calls, fallbacks):
 
 
 def test_a_steep_cone_opens_a_side_that_its_clip_does_not_reach(fallbacks):
-    # {x >= 0, y >= 100 x}: x is unbounded above, but the clip to
-    # [-H, H]^2 reaches only x = H / 100 there
+    # {x >= 0, y >= 100 x}: x is unbounded above, where the clip to
+    # [-S, S]^2 reaches only x = S / 100, but that is past H
     cell = Cell(2, [constraint([-1, 0], 0), constraint([100, -1], 0)])
     assert bounding_box(cell) == ((0, None), (0, None))
-    assert fallbacks[0] == cell.constraints
+    assert fallbacks == [cell.constraints]
     clip = geometry._cramer_vertices(cell)
-    h = max(abs(v) for x, _, _ in clip for v in x)
-    assert all(m == 1 for _, m, _ in clip) and max(x[0] for x, _, _ in clip) * 100 == h
+    h, s = geometry._cramer_bound(cell), max(abs(v) for x, _, _ in clip for v in x)
+    top = max(x[0] for x, _, _ in clip)
+    assert all(m == 1 for _, m, _ in clip) and top * 100 == s == h * (2 * h + 1)
+    assert top > h
 
 
 def test_no_cell_takes_its_cramer_start_twice(fallbacks):
     """Every cell with no source is clipped from its Cramer box at most
-    once, whatever is asked of it: a bounded cell, an unbounded one and
-    the ray cones of its box, and a preimage under a singular A."""
+    once, whatever is asked of it: a bounded cell, an unbounded one, and
+    a preimage under a singular A."""
     started = fallbacks.cells
 
     def ask(cell):
@@ -364,11 +367,10 @@ def test_no_cell_takes_its_cramer_start_twice(fallbacks):
     unbounded = Cell(2, [constraint([-1, 0], 0, True), constraint([1, -1], 1)])
     ask(bounded)
     ask(unbounded)
-    assert started[0] is bounded and started[1] is unbounded
-    # its clip reaches both open sides, so only the two closed sides of its
-    # box tested a ray, one cone each
-    cones = [c for c in started[2:] if all(r.offset == 0 for r in c.constraints)]
-    assert len(cones) == 2 and bounding_box(unbounded) == ((0, None), (-1, None))
+    # the unbounded cell's clip settles its box as well; the other two
+    # starts are the greedy tests of its two rows in remove_redundancy
+    assert started[0] is bounded and started[1] is unbounded and len(started) == 4
+    assert bounding_box(unbounded) == ((0, None), (-1, None))
     target = _box2(0, 2, 1, 3)
     pre = find_pre(Region((target,)), LinearSystem.of([[1, 1], [1, 1]])).cells[0]
     ask(pre)
