@@ -25,10 +25,11 @@ R unbounded.  From the vertices:
 - the cell is empty iff R has no vertex or a strict row is tight at every
   vertex; otherwise every strict row is slack at some vertex, so the
   vertices' centroid is a point of the cell and becomes its sample;
-- on a full-dimensional R, ``remove_redundancy`` drops a row that is slack
-  at every vertex and a non-strict row that is not a facet, and keeps a
-  facet (a row tight at n affinely independent vertices) that has no
-  positive-multiple twin.
+- when no row is tight at every vertex, R is full-dimensional, and
+  ``remove_redundancy`` reads each row off the faces' vertex sets: a row
+  goes iff it is tight at no vertex, or another row still kept or not
+  yet walked is tight at all of its vertices and is strict whenever it
+  is.
 
 An unbounded cell is decided by the same rule on its clip, and a side of
 its box is open where the clip goes past -H or H.  No LP is solved.
@@ -44,7 +45,6 @@ bitmask Z of the rows tight there.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -161,14 +161,20 @@ def is_empty(cell: Cell) -> bool:
 def _settle(cell: Cell, verts) -> None:
     """The cell's emptiness and sample from the vertices of R, or of R
     clipped to a box that holds a point of the cell if it has one."""
-    tight = -1
-    for _, _, z in verts:
-        tight &= z
+    tight = _tight(verts)
     cell._empty = not verts or any(
         c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
     )
     if not cell._empty:
         cell._sample = _centroid(verts, cell.dim)
+
+
+def _tight(verts) -> int:
+    """The bitmask of the rows tight at every vertex (-1 with none)."""
+    tight = -1
+    for _, _, z in verts:
+        tight &= z
+    return tight
 
 
 def sample_point(cell: Cell) -> Vector:
@@ -360,23 +366,29 @@ def empty_cell(dim: int) -> Cell:
 def remove_redundancy(cell: Cell) -> Cell:
     """Drop constraints whose removal leaves the denoted set unchanged.
 
-    A greedy walks the distinct rows in order and drops each row whose
-    negation meets none of the rows still kept or not yet walked: one
-    emptiness test per row that the vertices do not decide.  On a cell whose
-    relaxed closure R is full-dimensional (so the cell is non-empty and R
-    is its closure) the vertices decide, before the greedy and leaving
-    every greedy decision as it is:
+    One walk over the distinct rows, in order, drops each row whose
+    negation meets none of the rows still kept or not yet walked.  That
+    test is an emptiness test of those rows with the row negated, a cell
+    that its Cramer box decides, except when the faces decide it.
 
-    - a row slack at every vertex is slack on R: dropped;
-    - a row tight at n affinely independent vertices is a facet of R.
-      With no positive-multiple twin (same hyperplane and side, either
-      strictness), every other row is slack just beyond the facet's
-      relative interior, so the greedy keeps it: kept;
-    - a non-strict row that is not a facet leaves R, and so the cell,
-      unchanged when it goes, with every facet still present: dropped.
+    The faces decide when R, the relaxed closure, has vertices and no row
+    is tight at all of them: then R has no implicit equality, so it is
+    full-dimensional (Schrijver 1986, section 8.2), the cell is non-empty
+    and R is its closure.  A face of R is determined by its vertex set
+    (Ziegler 1995, ch. 2), and row i's is the bitmask ``faces[i]`` of the
+    vertices where row i is tight.  Row i is dropped iff its face is
+    empty, or some other row still kept or not yet walked has a face
+    containing row i's and is strict whenever row i is.  That is the
+    emptiness test's answer:
 
-    Strict rows that touch R on a lower face, and twins, take the
-    greedy's test, on a cell that its Cramer box decides.
+    - every facet of R is cut out by one of its rows;
+    - at every step the rows still kept or not yet walked include a row
+      for each facet (a facet's row is dropped only while another row of
+      that face remains), so their relaxed closure is R, and a non-strict
+      row's negation meets them iff the row is the last of a facet's;
+    - a face that contains a relative-interior point of another face
+      contains that whole face, so a strict row's face is covered by the
+      strict faces of the other rows iff one of them contains it.
 
     The cached emptiness and sample carry over.  A non-empty cell's R is
     its closure whichever rows denote it, so its box, vertices (with their
@@ -385,36 +397,36 @@ def remove_redundancy(cell: Cell) -> Cell:
     loses y).
     """
     n = cell.dim
+    rows = cell.constraints
     first: dict[Constraint, int] = {}
-    for i, c in enumerate(cell.constraints):
+    for i, c in enumerate(rows):
         first.setdefault(c, i)
     kept = list(first.values())  # the distinct rows, by index
-    keep: list[Optional[bool]] = [None] * len(kept)  # None: the greedy decides
-    rows = cell.constraints
     verts = _vertices(cell)
-    if verts and not is_empty(cell) and _spans(verts, n):
-        ints = _int_rows(cell)
-        keys = [_primitive(ints[i]) for i in kept]
-        twins = Counter(keys)
-        for k, i in enumerate(kept):
-            tight = [v for v in verts if v[2] >> i & 1]
-            if not tight:
-                keep[k] = False
-            elif _spans(tight, n - 1):
-                if twins[keys[k]] == 1:
-                    keep[k] = True
-            elif not rows[i].strict:
-                keep[k] = False
-        kept = [i for i, d in zip(kept, keep) if d is not False]
-        keep = [d for d in keep if d is not False]
+    faces = None
+    # is_empty settles the emptiness and sample that carry over
+    if verts and not is_empty(cell) and not _tight(verts):
+        faces = {
+            i: sum(1 << j for j, (_, _, z) in enumerate(verts) if z >> i & 1)
+            for i in kept
+        }
     k = 0
     while k < len(kept):
-        if keep[k] is None:
-            others = [rows[i] for i in kept[:k] + kept[k + 1 :]]
-            if is_empty(Cell(n, others + [rows[kept[k]].negated()])):
-                del kept[k], keep[k]
-                continue
-        k += 1
+        i = kept[k]
+        if faces is None:
+            others = [rows[j] for j in kept[:k] + kept[k + 1 :]]
+            redundant = is_empty(Cell(n, others + [rows[i].negated()]))
+        else:
+            face = faces[i]
+            redundant = not face or any(
+                j != i and face & faces[j] == face
+                and (rows[j].strict or not rows[i].strict)
+                for j in kept
+            )
+        if redundant:
+            del kept[k]
+        else:
+            k += 1
     out = Cell(n, [rows[i] for i in kept])
     out._empty = cell._empty
     out._sample = cell._sample
@@ -425,14 +437,6 @@ def remove_redundancy(cell: Cell) -> Cell:
         if cell._rows is not None:
             out._rows = tuple(cell._rows[i] for i in kept)
     return out
-
-
-def _primitive(row: tuple) -> tuple:
-    """The integer row (A, B, _) divided by the gcd of its entries: equal
-    for positive multiples of one halfspace, whatever their strictness."""
-    a, b, _ = row
-    g = gcd(*a, b)
-    return tuple(v // g for v in a), b // g
 
 
 def _remap(z: int, index: list[int]) -> int:
@@ -642,34 +646,6 @@ def _centroid(verts, dim: int) -> Vector:
         Fraction(sum(x[j] * (big // m) for x, m, _ in verts), big * k)
         for j in range(dim)
     )
-
-
-def _spans(verts, d: int) -> bool:
-    """Whether vertices of a polytope span an affine space of dimension at
-    least d.  No three vertices of a polytope are collinear, so for d <= 2
-    any d + 1 of them do."""
-    if len(verts) <= d:
-        return False
-    return d <= 2 or _rank([x + (m,) for x, m, _ in verts]) == d + 1
-
-
-def _rank(rows: Sequence[Sequence]) -> int:
-    """The rank of a matrix of ints or Fractions, by fraction-free
-    elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [p[col] * u - f * v for u, v in zip(rows[i], p)]
-        rank += 1
-    return rank
 
 
 def _solve_integer(a, b) -> Optional[tuple[int, list[int]]]:

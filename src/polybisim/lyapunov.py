@@ -18,7 +18,6 @@ from .geometry import (
     Matrix,
     Region,
     Vector,
-    _rank,
     difference,
     mat,
     vec,
@@ -100,6 +99,25 @@ def lf_value(lf: PolyhedralLF, x: Sequence) -> Fraction:
     if len(p) != lf.n:
         raise ValueError("point dimension does not match L")
     return max(abs(sum(r[j] * p[j] for j in range(lf.n))) for r in lf.l_matrix)
+
+
+def _rank(rows: Sequence[Sequence]) -> int:
+    """The rank of a matrix of ints or Fractions, by fraction-free
+    elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p[col] * u - f * v for u, v in zip(rows[i], p)]
+        rank += 1
+    return rank
 
 
 def _signed_rows(m: Matrix) -> list[Vector]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -24,8 +23,8 @@ from .abstraction import (
 )
 from .errors import InternalError
 from .geometry import (
-    Cell, Vector, apply_matrix, bounding_box, contains_point, contains_scaled,
-    sample_point, scale_point, vec,
+    Cell, Vector, apply_matrix, contains_scaled, sample_point, scale_point, vec,
+    vertices,
 )
 from .logic import Formula, LassoWord, eval_ltl_lasso
 from .lyapunov import LinearSystem
@@ -113,26 +112,16 @@ class CrossValidationReport:
 
 
 def _jitter(cell: Cell, rng: random.Random) -> Vector:
-    """A random rational point of the cell: mix the interior sample with a
-    random bounding-box point while membership holds."""
-    base = sample_point(cell)
-    box = bounding_box(cell)
-    if any(lo is None or hi is None for lo, hi in box):
-        return base
-    target = tuple(
-        lo + (hi - lo) * Fraction(rng.randrange(0, 1000), 1000)
-        for lo, hi in box
+    """A random rational point of the cell: its vertices weighted by random
+    positive integers.  Each strict row of a non-empty cell is slack at
+    some vertex (``geometry.is_empty``), so it is slack at the point."""
+    points = vertices(cell)
+    weights = [rng.randrange(1, 1000) for _ in points]
+    total = sum(weights)
+    return tuple(
+        sum(w * p[j] for w, p in zip(weights, points)) / total
+        for j in range(cell.dim)
     )
-    # walk from the box point towards the interior sample; the first
-    # midpoint inside the cell is accepted
-    point = target
-    for _ in range(20):
-        if contains_point(cell, point):
-            return point
-        point = tuple(
-            (p + b) / 2 for p, b in zip(point, base)
-        )
-    return base
 
 
 def sample_states(

@@ -53,18 +53,20 @@ def full_product(quotient, b):
 
 
 def f_star_fixpoint(p):
-    """Greatest fixpoint  Z = nu Z. AND_j EX E[true U (Z & F_j)]  over the
+    """Greatest fixpoint  Z = nu Z. AND_j EX E[Z U (Z & F_j)]  over the
     acceptance sets F_j; with no sets, one set of every state, which makes
-    it EG true.  A member has, for each j, a path of one or more steps to a
-    member in F_j, so chaining them visits every set infinitely often."""
+    it EG true.  A member has, for each j, a path of one or more steps
+    through members to a member in F_j, so chaining them visits every set
+    infinitely often (Emerson and Lei)."""
     preds = _predecessors(p.transitions, p.states)
     sets = p.acceptance or (frozenset(p.states),)
     z = set(p.states)
     while True:
+        inside = {s: [x for x in preds[s] if x in z] for s in z}
         keep = set(z)
         for acc in sets:
-            # states with a path of length >= 0 into Z & F_j ...
-            reach = _backward_closure(z & acc, preds)
+            # members with a path of length >= 0 through Z into Z & F_j ...
+            reach = _backward_closure(z & acc, inside)
             # ... then one step in front of it
             keep &= {x for r in reach for x in preds[r]}
         if keep == z:

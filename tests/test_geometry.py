@@ -675,7 +675,7 @@ def _redundancy_case(rng, n):
     return Cell(n, rows), kinds
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls, fallbacks):
     rng = random.Random(900 + n)
     seen = Counter()
@@ -716,12 +716,14 @@ def test_remove_redundancy_matches_the_plain_greedy(n, lp_calls, fallbacks):
     assert lp_calls == []
     # Cramer starts saved against the plain greedy, whose every test cell
     # has no source and takes one.  A cell that the caller has asked about
-    # ("known", "own box") has its vertices, which decide most rows; an
-    # "unknown" cell pays for its own start first
+    # ("known", "own box") has its vertices, whose faces decide every row
+    # of a full-dimensional cell; an "unknown" cell pays for its own start
+    # first
     assert dict(saved) == {
-        1: {"unknown": 14, "known": 96, "own box": 79},
-        2: {"unknown": 56, "known": 140, "own box": 151},
-        3: {"unknown": 180, "known": 242, "own box": 199},
+        1: {"unknown": 28, "known": 120, "own box": 91},
+        2: {"unknown": 95, "known": 166, "own box": 178},
+        3: {"unknown": 220, "known": 282, "own box": 236},
+        4: {"unknown": 310, "known": 372, "own box": 325},
     }[n]
 
 
@@ -738,14 +740,15 @@ def test_remove_redundancy_cramer_box_count(lp_calls, fallbacks):
     fallbacks.clear()
     assert bounding_box(cell) == ((-2, 2), (-2, 2))
     got = remove_redundancy(cell)
-    # x <= 3 is slack at all of
-    # them: dropped.  x - y, -x + y and -x - y are each tight at two
-    # vertices with no twin: kept.  x + 2y is non-strict and tight at
-    # (0, 2) alone: dropped.  x + y and its twin 2x + 2y tie, so the
-    # greedy tests them, and each test cell has no source and takes its
-    # Cramer start: x + y's (dropped, the twin is there) and the twin's
-    # (kept).  The plain greedy takes seven tests
-    assert len(fallbacks) == 2
+    # no row is tight at all four vertices, so their faces decide every
+    # row, with no test cell and no Cramer start.  x + y has the face of
+    # its twin 2x + 2y, still to be walked: dropped.  x <= 3 is slack at
+    # all of them: dropped.  x - y, -x + y and -x - y each have a face
+    # that no other row's contains: kept.  The twin's face is no longer
+    # in another row's once x + y is gone: kept.  x + 2y is tight at
+    # (0, 2) alone, inside the twin's face: dropped.  The plain greedy
+    # takes seven tests
+    assert len(fallbacks) == 0
     assert list(got.constraints) == diamond[1:] + [twin]
     assert list(got.constraints) == _greedy_reference(cell)
     assert geometry.vertices(got) == geometry.vertices(cell)

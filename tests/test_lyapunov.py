@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from polybisim import lp
-from polybisim.geometry import _rank, contains_point, region_contains_point, vec
+from polybisim.geometry import contains_point, region_contains_point, vec
 from polybisim.lyapunov import (
+    _rank,
     LevelSequence,
     LinearSystem,
     PolyhedralLF,

@@ -136,7 +136,8 @@ def test_cross_validation_clean_on_small2d():
 def test_cross_validation_samples_every_block_or_every_slice(monkeypatch):
     """A count of at least the number of blocks samples every block, the
     outermost slice's too, and a smaller count every slice; a random
-    point is drawn only for a sample past the first one of its block."""
+    point is drawn only for a sample past the first one of its block, and
+    every point lies in its own block."""
     spec = load_problem(Path(__file__).resolve().parent / "golden" / "two_slice_2d.json")
     quotient, partition = build_quotient(
         spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
@@ -157,10 +158,14 @@ def test_cross_validation_samples_every_block_or_every_slice(monkeypatch):
             spec.system, quotient, partition, spec.regions, None, None, count, seed=count
         )
         assert len(report.samples) == count and report.mismatches == 0
+        assert len(jitters) == max(0, count - blocks)
         hit = {partition.cell_of(s.point) for s in report.samples}
         if count >= blocks:
             assert hit == set(partition.blocks)
         else:
             slices = {partition.blocks[i].slice_index for i in hit}
             assert slices == set(range(len(partition.slice_regions)))
-        assert len(jitters) == max(0, count - blocks)
+        # the same seed draws the same points, each in its own block
+        drawn = sample_states(partition, count, count)
+        assert [x for _, x in drawn] == [s.point for s in report.samples]
+        assert all(contains_point(partition.blocks[b].cell, x) for b, x in drawn)

@@ -3,10 +3,10 @@
 A cell gets the vertices of its relaxed closure from one of two sources:
 the cell it is derived from, or else the corners of its Cramer box
 clipped by its rows, a clip that also finds an unbounded closure.  The
-vertices decide its box, emptiness and most redundant rows.  These
-seeded tests compare every such answer with an independent one:
-the vertices with a brute-force intersection of every n rows, the box
-with ``lp_box``, emptiness with ``slack_lp`` (both in
+vertices decide its box, emptiness and, on a full-dimensional closure,
+its redundant rows.  These seeded tests compare every such answer with
+an independent one: the vertices with a brute-force intersection of
+every n rows, the box with ``lp_box``, emptiness with ``slack_lp`` (both in
 ``tests/lp_reference.py``), and ``remove_redundancy`` with a greedy that
 solves one emptiness LP per row.  They also prove the paper fixture's
 transitions at the vertices of its blocks.
@@ -37,7 +37,7 @@ from polybisim.geometry import (
     sample_point,
     vertices,
 )
-from polybisim.lyapunov import LinearSystem
+from polybisim.lyapunov import LinearSystem, _rank
 from lp_reference import lp_box, lp_empty
 
 
@@ -192,7 +192,7 @@ def _matrix(rng, n):
         return tuple(tuple(Fraction(a * b) for b in v) for a in u), kind
     while True:
         a = tuple(tuple(Fraction(rng.randrange(-2, 3), rng.choice([1, 2])) for _ in range(n)) for _ in range(n))
-        if geometry._rank(a) == n:
+        if _rank(a) == n:
             return a, kind
 
 
@@ -291,7 +291,7 @@ def _check_against_the_lp(cell, how, cached, seen, lp_calls, fallbacks):
         assert len(got) == len(set(got))
         for x, m, z in geometry._vertices(cell):
             assert z == _incidence(cell, x, m)
-        rank = geometry._rank([x + (m,) for x, m, _ in geometry._vertices(cell)])
+        rank = _rank([x + (m,) for x, m, _ in geometry._vertices(cell)])
         if not got:
             seen["empty closure"] += 1
         elif rank <= n:
