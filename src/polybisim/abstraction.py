@@ -310,13 +310,13 @@ def build_quotient(
     seq = level_sequence(gamma_d, gamma_x, lf.rho)
     rho_star = certified_rate(lf, sys, seq)
 
-    x_cell = sublevel_cell(lf, seq.gammas[-1])
-    d_cell = sublevel_cell(lf, seq.gammas[0])
-    regions = validate_regions(x_cell, d_cell, regions)
-    slice_regions = make_slices(lf, seq, (regions.x_cell, regions.d_cell))
-    partition = initial_partition(x_cell, d_cell, regions, slice_regions)
+    levels = [sublevel_cell(lf, gamma) for gamma in seq.gammas]
+    regions = validate_regions(levels[-1], levels[0], regions)
+    # validated cells carry their proof, cached box and sample
+    levels[0], levels[-1] = regions.d_cell, regions.x_cell
+    partition = initial_partition(levels[-1], levels[0], regions, make_slices(levels))
     partition.rho_star = rho_star
-    partition.levels = tuple(sublevel_cell(lf, gamma) for gamma in seq.gammas)
+    partition.levels = tuple(levels)
 
     blocks = partition.blocks
     for i in range(seq.n_steps):

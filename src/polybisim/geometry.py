@@ -34,8 +34,9 @@ R unbounded.  From the vertices:
 An unbounded cell is decided by the same rule on its clip, and a side of
 its box is open where the clip goes past -H or H.  No LP is solved.
 
-Point membership runs on integer-scaled rows: each row a.x <= b (or <)
-is multiplied once by the positive lcm of its denominators, each point
+Point membership runs on integer-scaled rows: each Constraint a.x <= b
+(or <) multiplies itself once by the positive lcm of its denominators
+(``Constraint.scaled``, read by every cell that holds it), each point
 once by the positive lcm of its coordinates' denominators, and the test
 compares Python ints.  Both sides are scaled by positive numbers, so the
 answer is the rational one, still exact and with no floats.  Vertices are
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -79,6 +81,17 @@ class Constraint:
         if all(a == 0 for a in self.normal):
             raise ValueError("constraint normal must be non-zero")
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int, bool]:
+        """(A, B, strict): the normal and offset times the positive lcm of
+        their denominators, so A.x <= B (or <) is the row in Python ints."""
+        row, _ = _scaled(self.normal + (self.offset,))
+        return row[:-1], row[-1], self.strict
+
+    def __hash__(self):
+        # x/2 <= 1 and x <= 2 share a hash; the dict's == keeps them apart
+        return hash(self.scaled)
+
     def holds(self, point: Vector) -> bool:
         lhs = sum(a * x for a, x in zip(self.normal, point))
         return lhs < self.offset if self.strict else lhs <= self.offset
@@ -98,14 +111,14 @@ class Cell:
     """Intersection of strict-flagged halfspaces in R^dim.
 
     Immutable after construction; emptiness, an interior sample, the
-    bounding box, the integer-scaled rows and the vertices are computed
-    lazily and cached.  ``_src`` names the cells a derived cell's
-    vertices come from until they are computed.
+    bounding box and the vertices are computed lazily and cached, and each
+    row's integer form is its Constraint's ``scaled``.  ``_src`` names the
+    cells a derived cell's vertices come from until they are computed.
     """
 
     __slots__ = (
-        "dim", "constraints", "_empty", "_sample", "_bbox", "_rows", "_verts",
-        "_src", "_pieces",
+        "dim", "constraints", "_empty", "_sample", "_bbox", "_verts", "_src",
+        "_pieces",
     )
 
     def __init__(self, dim: int, constraints: Sequence[Constraint] = ()):
@@ -119,7 +132,6 @@ class Cell:
         self._empty: Optional[bool] = None
         self._sample: Optional[Vector] = None
         self._bbox = None
-        self._rows = None
         # None: not computed; False: unbounded
         self._verts = None
         self._src = None
@@ -199,22 +211,11 @@ def scale_point(point: Sequence, dim: int) -> tuple[tuple[int, ...], int]:
     return _scaled(p)
 
 
-def _int_rows(cell: Cell) -> tuple:
-    """The cell's rows as (A, B, strict), row a.x <= b times the lcm L > 0
-    of the denominators of a and b; cached on the cell."""
-    if cell._rows is None:
-        rows = []
-        for c in cell.constraints:
-            scaled, _ = _scaled(c.normal + (c.offset,))
-            rows.append((scaled[:-1], scaled[-1], c.strict))
-        cell._rows = tuple(rows)
-    return cell._rows
-
-
 def contains_scaled(cell: Cell, x: tuple[int, ...], m: int) -> bool:
     """Membership of the point x / m, as made by ``scale_point`` for the
     cell's dimension: A.x <= B.m (or <) for every integer row."""
-    for a, b, strict in _int_rows(cell):
+    for c in cell.constraints:
+        a, b, strict = c.scaled
         lhs, rhs = sum(map(mul, a, x)), b * m
         if lhs > rhs or (strict and lhs == rhs):
             return False
@@ -243,24 +244,18 @@ def intersect(a: Cell, b: Cell) -> Cell:
         raise ValueError("cannot intersect cells of different dimensions")
     out = Cell(a.dim, a.constraints + b.constraints)
     out._src = (a, b)
-    if a._rows is not None and b._rows is not None:
-        out._rows = a._rows + b._rows
     return out
 
 
 def _complement_pieces(cell: Cell) -> tuple[Cell, ...]:
     """Piece i satisfies rows 0..i-1 and violates row i, so the pieces are
-    pairwise disjoint by construction; none is proven non-empty.  Each
-    takes its integer rows from the cell's; cached on the cell."""
+    pairwise disjoint by construction; none is proven non-empty.  Cached
+    on the cell."""
     if cell._pieces is None:
-        rows, ints = cell.constraints, _int_rows(cell)
-        pieces = []
-        for i, c in enumerate(rows):
-            piece = Cell(cell.dim, rows[:i] + (c.negated(),))
-            a, b, strict = ints[i]
-            piece._rows = ints[:i] + ((tuple(-v for v in a), -b, not strict),)
-            pieces.append(piece)
-        cell._pieces = tuple(pieces)
+        rows = cell.constraints
+        cell._pieces = tuple(
+            Cell(cell.dim, rows[:i] + (c.negated(),)) for i, c in enumerate(rows)
+        )
     return cell._pieces
 
 
@@ -324,7 +319,8 @@ def _inside(cell: Cell, other: Cell) -> bool:
     verts = _vertices(cell)
     if verts is None:
         return False
-    for a, b, strict in _int_rows(other):
+    for c in other.constraints:
+        a, b, strict = c.scaled
         for x, m, _ in verts:
             s = b * m - sum(map(mul, a, x))
             if s < 0 or (strict and s == 0):
@@ -391,10 +387,10 @@ def remove_redundancy(cell: Cell) -> Cell:
       strict faces of the other rows iff one of them contains it.
 
     The cached emptiness and sample carry over.  A non-empty cell's R is
-    its closure whichever rows denote it, so its box, vertices (with their
-    bitmasks remapped to the kept rows) and kept integer rows carry over
-    too.  An empty cell's relaxed box can change ({x < 0, x >= 0, y <= 5}
-    loses y).
+    its closure whichever rows denote it, so its box and vertices (with
+    their bitmasks remapped to the kept rows) carry over too; the kept
+    Constraints bring their integer rows.  An empty cell's relaxed box can
+    change ({x < 0, x >= 0, y <= 5} loses y).
     """
     n = cell.dim
     rows = cell.constraints
@@ -434,8 +430,6 @@ def remove_redundancy(cell: Cell) -> Cell:
         out._bbox = cell._bbox
         if verts is not None:
             out._verts = tuple((x, m, _remap(z, kept)) for x, m, z in verts)
-        if cell._rows is not None:
-            out._rows = tuple(cell._rows[i] for i in kept)
     return out
 
 
@@ -555,7 +549,7 @@ def _derived(cell: Cell):
         if verts is not None:
             if shift:
                 verts = [(x, m, z << shift) for x, m, z in verts]
-            return _clip(verts, _int_rows(other), first, cell.dim)
+            return _clip(verts, other.constraints, first, cell.dim)
     return None
 
 
@@ -577,7 +571,7 @@ def _cramer_vertices(cell: Cell) -> tuple:
         (x, 1, sum(1 << (k + 2 * j + (v < 0)) for j, v in enumerate(x)))
         for x in product((-s, s), repeat=n)
     ]
-    return _clip(corners, _int_rows(cell), 0, n)
+    return _clip(corners, cell.constraints, 0, n)
 
 
 def _cramer_bound(cell: Cell) -> int:
@@ -586,13 +580,14 @@ def _cramer_bound(cell: Cell) -> int:
     column: it bounds every Cramer's rule solution that ``_vertices`` and
     ``_cramer_vertices`` use."""
     n = cell.dim
-    big = max((abs(v) for a, b, _ in _int_rows(cell) for v in a + (b,)), default=1)
+    rows = [c.scaled for c in cell.constraints]
+    big = max((abs(v) for a, b, _ in rows for v in a + (b,)), default=1)
     return (n + 1) ** ((n + 2) // 2) * big ** (n + 1)
 
 
 def _clip(verts, rows, first: int, n: int) -> tuple:
-    """The vertices of a bounded polytope in R^n cut by the integer rows
-    (A, B, strict) relaxed to A.x <= B, row j getting bit first + j: one
+    """The vertices of a bounded polytope in R^n cut by the Constraints'
+    integer rows relaxed to A.x <= B, row j getting bit first + j: one
     double-description step per row, the last row first (a complement
     piece ends with its negated row, which most often leaves nothing).
 
@@ -606,7 +601,7 @@ def _clip(verts, rows, first: int, n: int) -> tuple:
     for j in range(len(rows) - 1, -1, -1):
         if not verts:
             break
-        a, b, _ = rows[j]
+        a, b, _ = rows[j].scaled
         bit = 1 << (first + j)
         kept, inside, outside = [], [], []
         for v in verts:

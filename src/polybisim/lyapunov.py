@@ -179,18 +179,12 @@ def sublevel_cell(lf: PolyhedralLF, gamma) -> Cell:
     )
 
 
-def slices(
-    lf: PolyhedralLF, seq: LevelSequence, known: Sequence[Cell] = ()
-) -> list[Region]:
-    """S_0 = innermost sublevel polytope, S_i the annulus between levels
-    i-1 and i (outer-closed, inner-open).  A level's cell holds the origin
-    in its interior, so it is not proven non-empty; a cell of ``known``
-    with its constraints stands in for it, cached box and sample included.
-    """
-    by_rows = {k.constraints: k for k in known}
-    cells = [sublevel_cell(lf, gamma) for gamma in seq.gammas]
-    levels = [Region((by_rows.get(c.constraints, c),)) for c in cells]
-    return levels[:1] + [difference(hi, lo) for lo, hi in zip(levels, levels[1:])]
+def slices(levels: Sequence[Cell]) -> list[Region]:
+    """S_0 = the innermost level cell P_0, S_i the annulus between P_{i-1}
+    and P_i (outer-closed, inner-open).  A level's cell holds the origin in
+    its interior, so it is not proven non-empty."""
+    regions = [Region((c,)) for c in levels]
+    return regions[:1] + [difference(hi, lo) for lo, hi in zip(regions, regions[1:])]
 
 
 def descends(rho_star, seq: LevelSequence) -> bool:

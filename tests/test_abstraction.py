@@ -95,10 +95,9 @@ def test_observation_of():
 def test_initial_partition_structure():
     lf = PolyhedralLF.of([["1", "0"], ["0", "1"]], "0.5")
     seq = level_sequence(1, 4, "0.5")
-    x_cell = sublevel_cell(lf, 4)
-    d_cell = sublevel_cell(lf, 1)
+    levels = [sublevel_cell(lf, g) for g in seq.gammas]
     regions = [ObservedRegion("r1", box2(2, 3, -1, 1))]
-    part = initial_partition(x_cell, d_cell, regions, slices(lf, seq))
+    part = initial_partition(levels[-1], levels[0], regions, slices(levels))
     audits = audit_partition(part, regions)
     assert all(audits.values()), audits
     labels = {b.observation.label for b in part.blocks.values()}
@@ -113,7 +112,7 @@ def test_initial_partition_rejects_bad_regions():
     seq = level_sequence(1, 4, "0.5")
     x_cell = sublevel_cell(lf, 4)
     d_cell = sublevel_cell(lf, 1)
-    sl = slices(lf, seq)
+    sl = slices([sublevel_cell(lf, g) for g in seq.gammas])
     with pytest.raises(ValueError):  # overlaps the target set
         initial_partition(
             x_cell, d_cell, [ObservedRegion("r1", box2(0, 2, 0, 1))], sl

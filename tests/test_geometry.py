@@ -4,6 +4,7 @@ agreement checks against independent oracles."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -66,6 +67,42 @@ def test_constraint_negation_flips_strictness():
 def test_constraint_rejects_zero_normal():
     with pytest.raises(ValueError):
         constraint([0, 0], 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_constraint_scales_its_row_once(n):
+    """``scaled`` is the row's numerators over the lcm of its denominators,
+    the negation's is the row negated with strictness flipped, and equal
+    constraints hash equally."""
+    rng = random.Random(2300 + n)
+    for _ in range(100):
+        normal = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(n)]
+        if not any(normal):
+            normal[rng.randrange(n)] = Fraction(1, rng.randrange(1, 13))
+        offset = Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+        strict = rng.random() < 0.5
+        c = Constraint(tuple(normal), offset, strict)
+        big = 1
+        for v in normal + [offset]:
+            big = big * v.denominator // gcd(big, v.denominator)
+        row = [v * big for v in normal + [offset]]
+        assert all(v.denominator == 1 for v in row)
+        a, b = tuple(int(v) for v in row[:-1]), int(row[-1])
+        assert c.scaled == (a, b, strict)
+        assert c.negated().scaled == (tuple(-v for v in a), -b, not strict)
+        twin = constraint([str(v) for v in normal], str(offset), strict)
+        assert twin == c and hash(twin) == hash(c)
+
+
+def test_rows_that_scale_alike_stay_apart():
+    half, whole = constraint(["1/2"], 1), constraint([1], 2)
+    assert half != whole
+    assert half.scaled == whole.scaled == ((1,), 2, False)
+    assert len({half: 0, whole: 1}) == 2
+    # x/2 <= 1 has the face of x <= 2, walked after it, so it goes: the
+    # shared hash changes neither the rows kept nor their order
+    cell = Cell(1, [half, whole, constraint([-1], 0)])
+    assert remove_redundancy(cell).constraints == (whole, constraint([-1], 0))
 
 
 def test_membership_respects_strictness():

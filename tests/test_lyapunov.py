@@ -187,7 +187,7 @@ def test_sublevel_cell_membership():
 def test_slices_partition_the_working_set():
     lf = PolyhedralLF.of([["1", "0"], ["0", "1"]], "0.5")
     seq = level_sequence(1, 4, "0.5")
-    parts = slices(lf, seq)
+    parts = slices([sublevel_cell(lf, g) for g in seq.gammas])
     assert len(parts) == seq.n_steps + 1
     rng = random.Random(15)
     for _ in range(200):

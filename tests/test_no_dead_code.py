@@ -2,7 +2,8 @@
 referenced somewhere in the package outside its own ``def``, so a helper
 left behind by a refactor fails here.  Every name a package module
 imports is read in that module, so an import left behind by a deleted
-helper fails too."""
+helper fails too, and every name in a package class's ``__slots__`` is
+read somewhere in the package, so a cache no code reads fails as well."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,45 @@ def test_an_unread_import_is_caught():
     assert _unread_imports(ast.parse("from . import problem\n"), "problem.py") == [
         "problem.py:problem"
     ]
+
+
+def _unread_slots(trees):
+    """The names in a class's ``__slots__`` that no attribute load reads in
+    any of the modules (``self.x = ...`` stores, it does not read)."""
+    slots, read = [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets
+                    ):
+                        slots += [
+                            f"{module}:{node.name}.{e.value}" for e in stmt.value.elts
+                        ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [slot for slot in slots if slot.rsplit(".", 1)[1] not in read]
+
+
+def test_every_slot_is_read():
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _unread_slots(trees) == []
+
+
+def test_an_unread_slot_is_caught():
+    tree = ast.parse(
+        "class C:\n"
+        "    __slots__ = ('a', '_b', '_c')\n"
+        "    def __init__(self):\n"
+        "        self.a = 1\n"
+        "        self._b = self.a\n"
+        "        self._c = None\n"
+        "    def f(self):\n"
+        "        return self._b\n"
+    )
+    assert _unread_slots({"m.py": tree}) == ["m.py:C._c"]

@@ -199,7 +199,7 @@ def _matrix(rng, n):
 def _incidence(cell, x, m):
     return sum(
         1 << i
-        for i, (a, b, _) in enumerate(geometry._int_rows(cell))
+        for i, (a, b, _) in enumerate(c.scaled for c in cell.constraints)
         if b * m == sum(u * v for u, v in zip(a, x))
     )
 
