@@ -21,7 +21,10 @@ every vertex of a bounded R and a point of every non-empty one lie
 within (``_vertices``); a clipped vertex tight on a side of the box marks
 R unbounded.  From the vertices:
 
-- the bounding box is their minimum and maximum per coordinate;
+- the bounding box is their minimum and maximum per coordinate, picked
+  in Python ints (X_j M' < X'_j M) with one Fraction made per side, and
+  ``boxes_overlap`` compares two boxes' sides by cross-multiplying their
+  numerators and denominators;
 - the cell is empty iff R has no vertex or a strict row is tight at every
   vertex; otherwise every strict row is slack at some vertex, so the
   vertices' centroid is a point of the cell and becomes its sample;
@@ -41,7 +44,8 @@ once by the positive lcm of its coordinates' denominators, and the test
 compares Python ints.  Both sides are scaled by positive numbers, so the
 answer is the rational one, still exact and with no floats.  Vertices are
 kept the same way, as (X, M, Z): the point X / M with M > 0, and the
-bitmask Z of the rows tight there.
+bitmask Z of the rows tight there.  ``preimage_linear``'s vertices are
+A^-1 applied to all of them in one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -452,10 +456,21 @@ def bounding_box(cell: Cell) -> tuple[tuple[Optional[Fraction], Optional[Fractio
 
 
 def _vertex_box(verts, dim: int):
+    """Per coordinate j, the least and greatest X_j / M of the vertices,
+    compared as X_j M' < X'_j M; one Fraction per side."""
     if not verts:
         return tuple((_ZERO, -_ONE) for _ in range(dim))
-    points = [[Fraction(v, m) for v in x] for x, m, _ in verts]
-    return tuple((min(col), max(col)) for col in zip(*points))
+    box = []
+    for j in range(dim):
+        lo = hi = verts[0]
+        for v in verts:
+            x, m, _ = v
+            if x[j] * lo[1] < lo[0][j] * m:
+                lo = v
+            elif x[j] * hi[1] > hi[0][j] * m:
+                hi = v
+        box.append((Fraction(lo[0][j], lo[1]), Fraction(hi[0][j], hi[1])))
+    return tuple(box)
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +541,21 @@ def _derived(cell: Cell):
     a, b = cell._src
     if not isinstance(b, Cell):
         verts = _vertices(a)
-        if verts is None:
-            return None
-        # A y = x, row i times the lcm l_i of its denominators, for y = A^-1 x
+        if not verts:
+            return verts
+        # A y = x, row i times the lcm l_i of its denominators, for y = A^-1 x:
+        # one elimination with every vertex a right-hand-side column
         rows = [_scaled(row) for row in b]
-        mapped = []
-        for x, m, z in verts:
-            solved = _solve_integer(
-                [list(row) for row, _ in rows], [l * v for (_, l), v in zip(rows, x)]
-            )
-            if solved is None:  # A is singular
-                return None
-            d, y = solved
-            mapped.append(_reduced(tuple(y), d * m, z))
-        return tuple(mapped)
+        solved = _solve_integer(
+            [list(row) for row, _ in rows],
+            [[l * x[i] for x, _, _ in verts] for i, (_, l) in enumerate(rows)],
+        )
+        if solved is None:  # A is singular
+            return None
+        d, ys = solved
+        return tuple(
+            _reduced(y, d * m, z) for y, (_, m, z) in zip(ys, verts)
+        )
     k = len(a.constraints)
     operands = [(a, b, 0, k), (b, a, k, 0)]
     if a._verts is None and b._verts is not None:
@@ -643,13 +659,14 @@ def _centroid(verts, dim: int) -> Vector:
     )
 
 
-def _solve_integer(a, b) -> Optional[tuple[int, list[int]]]:
-    """Solve the square integer system a x = b by fraction-free
-    Gauss-Jordan elimination (every intermediate entry is a minor, so
-    each division is exact).  Returns (d, [d * x_j]) with d > 0, or None
-    if a is singular."""
+def _solve_integer(a, b) -> Optional[tuple[int, list[tuple[int, ...]]]]:
+    """Solve the square integer system a X = b, b's columns the right-hand
+    sides, by one fraction-free Gauss-Jordan elimination (every
+    intermediate entry is a minor, so each division is exact).  Returns
+    (d, [d * x for each column x]) with d > 0, or None if a is singular."""
     k = len(a)
-    t = [row + [bi] for row, bi in zip(a, b)]
+    t = [row + bi for row, bi in zip(a, b)]
+    width = len(t[0])
     prev = 1
     for col in range(k):
         piv = next((r for r in range(col, k) if t[r][col]), None)
@@ -662,13 +679,13 @@ def _solve_integer(a, b) -> Optional[tuple[int, list[int]]]:
             if r != col:
                 row = t[r]
                 f = row[col]
-                for j in range(k + 1):
+                for j in range(width):
                     row[j] = (p * row[j] - f * prow[j]) // prev
         prev = p
-    xs = [row[k] for row in t]
-    if prev < 0:
-        return -prev, [-x for x in xs]
-    return prev, xs
+    sign = -1 if prev < 0 else 1
+    return sign * prev, [
+        tuple(sign * row[j] for row in t) for j in range(k, width)
+    ]
 
 
 def vertices(cell: Cell) -> Optional[list[Vector]]:
@@ -683,10 +700,17 @@ def vertices(cell: Cell) -> Optional[list[Vector]]:
 
 
 def boxes_overlap(a: Cell, b: Cell) -> bool:
+    """Whether the boxes meet; hi < lo is compared as hi.n lo.d < lo.n hi.d."""
     for (alo, ahi), (blo, bhi) in zip(bounding_box(a), bounding_box(b)):
-        if ahi is not None and blo is not None and ahi < blo:
+        if (
+            ahi is not None and blo is not None
+            and ahi.numerator * blo.denominator < blo.numerator * ahi.denominator
+        ):
             return False
-        if bhi is not None and alo is not None and bhi < alo:
+        if (
+            bhi is not None and alo is not None
+            and bhi.numerator * alo.denominator < alo.numerator * bhi.denominator
+        ):
             return False
     return True
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .geometry import (
@@ -18,6 +19,7 @@ from .geometry import (
     Matrix,
     Region,
     Vector,
+    _scaled,
     difference,
     mat,
     vec,
@@ -43,6 +45,14 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return len(self.a_matrix)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(a, d) with A = a / d: d > 0 is the lcm of A's denominators, so
+        one step maps the point p / m to (a p) / (d m) in Python ints."""
+        flat, d = _scaled([v for row in self.a_matrix for v in row])
+        n = self.n
+        return tuple(flat[i * n : (i + 1) * n] for i in range(n)), d
 
     @staticmethod
     def of(rows) -> "LinearSystem":

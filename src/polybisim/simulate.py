@@ -3,13 +3,24 @@
 Trajectories are iterated in exact rational arithmetic, so the word a
 trajectory generates can be compared against the quotient's word with no
 tolerance at all; any mismatch is a real soundness bug, not noise.
+
+The arithmetic runs in Python ints.  A point is kept as (p, m), the
+point p / m with m > 0 (``geometry.scale_point``), and A as (a, d) with
+A = a / d (``LinearSystem.scaled``), so one step is p <- a p, m <- d m,
+reduced by their gcd, and each observation tests the integer rows.  A
+random sample mixes a cell's integer vertices (X, M) the same way.
+``Fraction``s are made only for what a caller reads: the trajectory's
+points and the sample points.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .abstraction import (
@@ -18,13 +29,11 @@ from .abstraction import (
     Partition,
     QuotientTS,
     _observation_scaled,
-    observation_of,
     quotient_word,
 )
 from .errors import InternalError
 from .geometry import (
-    Cell, Vector, apply_matrix, contains_scaled, sample_point, scale_point, vec,
-    vertices,
+    Cell, Vector, _vertices, contains_scaled, sample_point, scale_point, vec,
 )
 from .logic import Formula, LassoWord, eval_ltl_lasso
 from .lyapunov import LinearSystem
@@ -62,6 +71,7 @@ def simulate(
     p, m = scale_point(x, x_cell.dim)
     if not contains_scaled(x_cell, p, m):
         raise ValueError("initial state lies outside the working set")
+    a, d = sys.scaled
     points = [x]
     word = [_observation_scaled(p, m, regions, d_cell)]
     steps = 0
@@ -70,9 +80,12 @@ def simulate(
             raise InternalError(
                 "trajectory failed to reach the target set within the bound"
             )
-        x = apply_matrix(sys.a_matrix, x)
-        points.append(x)
-        word.append(observation_of(x, regions, d_cell))
+        p, m = tuple(sum(map(mul, row, p)) for row in a), d * m
+        g = gcd(m, *p)
+        if g > 1:
+            p, m = tuple(v // g for v in p), m // g
+        points.append(tuple(Fraction(v, m) for v in p))
+        word.append(_observation_scaled(p, m, regions, d_cell))
         steps += 1
     return Trajectory(tuple(points), tuple(word))
 
@@ -114,12 +127,16 @@ class CrossValidationReport:
 def _jitter(cell: Cell, rng: random.Random) -> Vector:
     """A random rational point of the cell: its vertices weighted by random
     positive integers.  Each strict row of a non-empty cell is slack at
-    some vertex (``geometry.is_empty``), so it is slack at the point."""
-    points = vertices(cell)
-    weights = [rng.randrange(1, 1000) for _ in points]
-    total = sum(weights)
+    some vertex (``geometry.is_empty``), so it is slack at the point.  The
+    mean of the vertices X_i / M_i with weights w_i is sum w_i X_i (L / M_i)
+    over L sum w_i, L the lcm of the M_i."""
+    verts = _vertices(cell)
+    weights = [rng.randrange(1, 1000) for _ in verts]
+    big = lcm(*(m for _, m, _ in verts))
+    scaled = [(w * (big // m), x) for w, (x, m, _) in zip(weights, verts)]
+    total = big * sum(weights)
     return tuple(
-        sum(w * p[j] for w, p in zip(weights, points)) / total
+        Fraction(sum(f * x[j] for f, x in scaled), total)
         for j in range(cell.dim)
     )
 

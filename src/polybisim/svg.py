@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of 2-D partitions and highlight regions.
 
-Each cell is drawn from its exact vertices, the vertex cache that
-``geometry`` keeps for every bounded cell, ordered by angle around their
-centroid; floats appear only in the final coordinate formatting, so
-identical inputs always produce byte-identical files.
+Each cell is drawn from its exact vertices, the integer (X, M) pairs,
+the point X / M with M > 0, that ``geometry`` caches for every bounded
+cell, ordered by angle around their centroid.  Floats appear only in the
+final coordinate formatting, as X_j / M: Python's int / int is correctly
+rounded, as ``float(Fraction)`` is, so identical inputs always produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .abstraction import Partition
-from .geometry import Cell, Region, bounding_box, vertices
+from .geometry import Cell, Region, _vertices, bounding_box
 
 _FILL_BY_OBS = {
     "PI_D": "#c8a165",
@@ -24,21 +26,23 @@ _HIGHLIGHT_FILL = "#9b6bbf"
 _SIZE = 640
 
 
-def cell_vertices(cell: Cell) -> list[tuple[Fraction, Fraction]]:
-    """Exact vertices of the closure of a bounded 2-D cell, in hull order."""
+def cell_vertices(cell: Cell) -> list[tuple[tuple[int, int], int]]:
+    """Exact vertices (X, M) of the closure of a bounded 2-D cell, the
+    points X / M, in hull order."""
     if cell.dim != 2:
         raise ValueError("vertex enumeration is implemented for n=2 only")
-    pts = vertices(cell)
-    if pts is None:
+    verts = _vertices(cell)
+    if verts is None:
         raise ValueError("cannot draw an unbounded cell")
+    pts = [(x, m) for x, m, _ in verts]
     if len(pts) <= 2:
-        return sorted(pts)
+        return pts
     # the angle of p - c for the centroid c, from p - c times an integer
     # d > 0: int / int rounds as float(Fraction) does, so the order is the
     # one the Fractions give
     k = len(pts)
-    d = math.lcm(*(v.denominator for p in pts for v in p))
-    scaled = [tuple(v.numerator * (d // v.denominator) for v in p) for p in pts]
+    d = math.lcm(*(m for _, m in pts))
+    scaled = [tuple(v * (d // m) for v in x) for x, m in pts]
     cx, cy = (sum(col) for col in zip(*scaled))
     d *= k
     angle = [math.atan2((k * y - cy) / d, (k * x - cx) / d) for x, y in scaled]
@@ -50,7 +54,10 @@ def _fmt(x: float) -> str:
 
 
 def _polygon(points, fill: str, stroke: str, opacity: str = "1.0") -> str:
-    coords = " ".join(f"{_fmt(float(x))},{_fmt(float(-y))}" for x, y in points)
+    # y is negated as an int: -(0 / m) is the float -0.0, printed "-0.0000"
+    coords = " ".join(
+        f"{_fmt(x / m)},{_fmt(-y / m)}" for (x, y), m in points
+    )
     return (
         f'<polygon points="{coords}" fill="{fill}" fill-opacity="{opacity}" '
         f'stroke="{stroke}" stroke-width="0.03"/>'

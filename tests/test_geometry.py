@@ -32,7 +32,9 @@ from polybisim.geometry import (
     scale_point,
     split,
     vec,
+    vertices,
 )
+from polybisim.lyapunov import _rank
 from lp_reference import lp_box
 
 
@@ -524,6 +526,97 @@ def test_box_test_on_scaled_points_matches_fractions(n):
             assert box_contains_scaled(cell, *scale_point(p, n)) is want
             if contains_point(cell, p):
                 assert want
+
+
+def _fraction_box(points, h=None):
+    """min and max per coordinate of Fraction points; a side past -h or h
+    is open (None)."""
+    box = tuple((min(col), max(col)) for col in zip(*points))
+    if h is None:
+        return box
+    return tuple((None if lo < -h else lo, None if hi > h else hi) for lo, hi in box)
+
+
+def _scaled_cell(rng, n):
+    """``_random_cell`` with each row scaled by a random positive rational,
+    so its vertices have unlike denominators."""
+    cell = _random_cell(rng, n)
+    rows = []
+    for c in cell.constraints:
+        k = Fraction(rng.randrange(1, 8), rng.randrange(1, 8))
+        rows.append(Constraint(tuple(k * a for a in c.normal), k * c.offset, c.strict))
+    return Cell(n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounding_box_matches_the_fraction_extremes(n):
+    """The integer box is the Fraction minimum and maximum of ``vertices``
+    on bounded cells, and of the Cramer clip's vertices with the sides past
+    -H or H open on unbounded ones, fresh or derived by ``intersect``."""
+    rng = random.Random(900 + n)
+    kinds = Counter()
+    for _ in range(40):
+        a, b = _scaled_cell(rng, n), _scaled_cell(rng, n)
+        for cell in (a, intersect(a, b)):
+            box = bounding_box(cell)
+            points = vertices(cell)
+            if points is None:
+                kinds["unbounded"] += 1
+                clip = geometry._cramer_vertices(Cell(n, cell.constraints))
+                h = geometry._cramer_bound(cell)
+                want = _fraction_box([tuple(Fraction(v, m) for v in x) for x, m, _ in clip], h)
+            else:
+                kinds["bounded" if points else "no vertex"] += 1
+                want = _fraction_box(points) if points else ((_ZERO, F(-1)),) * n
+            assert box == want
+            assert all(type(v) is Fraction for side in box for v in side if v is not None)
+    assert min(kinds.values()) >= 5 and len(kinds) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_boxes_overlap_matches_the_fraction_comparison(n):
+    """Pairs of random cells, the second shifted by a random vector so
+    that many boxes miss or touch: the integer comparison answers as the
+    Fraction one does."""
+    rng = random.Random(950 + n)
+    answers = Counter()
+    for _ in range(60):
+        a, b = _scaled_cell(rng, n), _scaled_cell(rng, n)
+        t = [Fraction(rng.randrange(-12, 13), rng.randrange(1, 3)) for _ in range(n)]
+        b = Cell(n, [
+            Constraint(c.normal, c.offset + sum(u * v for u, v in zip(c.normal, t)), c.strict)
+            for c in b.constraints
+        ])
+        want = not any(
+            (ahi is not None and blo is not None and ahi < blo)
+            or (bhi is not None and alo is not None and bhi < alo)
+            for (alo, ahi), (blo, bhi) in zip(bounding_box(a), bounding_box(b))
+        )
+        assert geometry.boxes_overlap(a, b) is want
+        answers[want] += 1
+    assert answers[True] >= 5 and answers[False] >= 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_elimination_solves_every_column(n):
+    """``_solve_integer`` with k right-hand-side columns gives each
+    column's solution over one d > 0, and None for a singular matrix."""
+    rng = random.Random(990 + n)
+    for _ in range(30):
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            a[-1] = [2 * v for v in a[0]]  # singular
+        cols = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(rng.randrange(0, 5))]
+        solved = geometry._solve_integer(
+            [row[:] for row in a], [[col[i] for col in cols] for i in range(n)]
+        )
+        if solved is None:
+            assert _rank(a) < n
+            continue
+        d, ys = solved
+        assert d > 0 and len(ys) == len(cols)
+        for y, col in zip(ys, cols):
+            assert [sum(r * v for r, v in zip(row, y)) for row in a] == [d * v for v in col]
 
 
 def test_point_of_the_wrong_dimension_is_rejected():

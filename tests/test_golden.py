@@ -1,9 +1,12 @@
-"""Exports pinned byte for byte: ``run_pipeline`` must reproduce the
-``quotient.txt`` and ``satisfying.txt`` kept under ``tests/golden/<name>/``.
+"""Exports pinned byte for byte: ``run_pipeline`` must reproduce every
+file kept under ``tests/golden/<name>/``: ``quotient.txt`` and
+``satisfying.txt``, and for a 2-D problem ``partition.svg`` and
+``satisfying.svg``, and write no other file.
 
 The goldens were written by ``run_pipeline(load_problem(path),
-out_dir=...)``.  Regenerate them only with a change that is meant to alter
-the quotient, and say so where the change is recorded.
+out_dir=..., svg=True)``.  Regenerate them only with a change that is
+meant to alter the quotient or the drawing, and say so where the change
+is recorded.
 """
 
 from pathlib import Path
@@ -22,7 +25,10 @@ PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_run_pipeline_reproduces_the_golden_exports(name, tmp_path):
-    result = run_pipeline(load_problem(PROBLEMS[name]), out_dir=str(tmp_path))
+    result = run_pipeline(load_problem(PROBLEMS[name]), out_dir=str(tmp_path), svg=True)
     assert result.exit_code == 0
-    for export in ("quotient.txt", "satisfying.txt"):
+    golden = sorted(p.name for p in (GOLDEN / name).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == golden
+    assert len(golden) == (4 if name == "two_slice_2d" else 2)
+    for export in golden:
         assert (tmp_path / export).read_bytes() == (GOLDEN / name / export).read_bytes()
