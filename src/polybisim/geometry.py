@@ -15,7 +15,8 @@ tight there.  They come from one of two sources.  A derived cell gets
 them from the cell it comes from: ``intersect`` clips one operand's
 vertices by the other operand's rows, one double-description step per row
 (Fukuda & Prodon 1996), ``preimage_linear`` maps them by A^-1 when A is
-invertible, and ``remove_redundancy`` hands them on.  Any other cell clips
+invertible, ``remove_redundancy`` hands them on, and a level cell of
+``lyapunov`` scales the unit ball's.  Any other cell clips
 its Cramer box [-S, S]^n, S = H(2H + 1) for a Hadamard bound H that
 every vertex of a bounded R and a point of every non-empty one lie
 within (``_vertices``); a clipped vertex tight on a side of the box marks
@@ -27,7 +28,8 @@ R unbounded.  From the vertices:
   numerators and denominators;
 - the cell is empty iff R has no vertex or a strict row is tight at every
   vertex; otherwise every strict row is slack at some vertex, so the
-  vertices' centroid is a point of the cell and becomes its sample;
+  vertices' centroid is a point of the cell, its sample, made in integers
+  (X, M) when first asked for, with ``sample_point`` making its Fractions;
 - when no row is tight at every vertex, R is full-dimensional, and
   ``remove_redundancy`` reads each row off the faces' vertex sets: a row
   goes iff it is tight at no vertex, or another row still kept or not
@@ -134,7 +136,8 @@ class Cell:
                 )
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         self._empty: Optional[bool] = None
-        self._sample: Optional[Vector] = None
+        # the sample as (X, M), the point X / M with M > 0
+        self._sample: Optional[tuple[tuple[int, ...], int]] = None
         self._bbox = None
         # None: not computed; False: unbounded
         self._verts = None
@@ -164,9 +167,9 @@ class Region:
 
 
 def is_empty(cell: Cell) -> bool:
-    """Empty iff R has no vertex or a strict row is tight at all of them,
-    with their centroid as the sample otherwise; the clip that finds R
-    unbounded decides an unbounded cell (``_vertices``)."""
+    """Empty iff R has no vertex or a strict row is tight at all of them;
+    the clip that finds R unbounded decides an unbounded cell
+    (``_vertices``)."""
     if cell._empty is None:
         verts = _vertices(cell)
         if cell._empty is None:
@@ -175,14 +178,12 @@ def is_empty(cell: Cell) -> bool:
 
 
 def _settle(cell: Cell, verts) -> None:
-    """The cell's emptiness and sample from the vertices of R, or of R
-    clipped to a box that holds a point of the cell if it has one."""
+    """The cell's emptiness from the vertices of R, or of R clipped to a
+    box that holds a point of the cell if it has one."""
     tight = _tight(verts)
     cell._empty = not verts or any(
         c.strict and tight >> i & 1 for i, c in enumerate(cell.constraints)
     )
-    if not cell._empty:
-        cell._sample = _centroid(verts, cell.dim)
 
 
 def _tight(verts) -> int:
@@ -194,10 +195,16 @@ def _tight(verts) -> int:
 
 
 def sample_point(cell: Cell) -> Vector:
-    """A point of the cell, interior with respect to strict constraints."""
+    """A point of the cell, interior with respect to strict constraints:
+    the centroid of R's vertices, or of the clip that finds R unbounded,
+    kept in integers with the cell."""
     if is_empty(cell):
         raise ValueError("cannot sample an empty cell")
-    return cell._sample
+    if cell._sample is None:
+        verts = _vertices(cell)
+        cell._sample = _mean(verts, [1] * len(verts), cell.dim)
+    x, m = cell._sample
+    return tuple(Fraction(v, m) for v in x)
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -520,6 +527,8 @@ def _vertices(cell: Cell):
             if any(z >> k for _, _, z in verts):
                 if cell._empty is None:
                     _settle(cell, verts)
+                    if not cell._empty:  # the clip is not kept: its sample is
+                        cell._sample = _mean(verts, [1] * len(verts), cell.dim)
                 h = _cramer_bound(cell)
                 cell._bbox = tuple(
                     (None if lo < -h else lo, None if hi > h else hi)
@@ -533,12 +542,20 @@ def _vertices(cell: Cell):
 def _derived(cell: Cell):
     """The vertices from the cell's source: those of an operand of
     ``intersect`` (one that already has them first) clipped by the other
-    operand's rows, or those of the cell that ``preimage_linear`` inverted,
-    mapped by A^-1.  None with no source, for two unbounded operands and
-    for a singular A."""
+    operand's rows, those of the cell that ``preimage_linear`` inverted,
+    mapped by A^-1, or gamma times those of a cell that the cell is
+    gamma > 0 times (``lyapunov.sublevel_cell``), tight on the same rows.
+    None with no source, for two unbounded operands and for a singular
+    A."""
     if cell._src is None:
         return None
     a, b = cell._src
+    if isinstance(b, Fraction):
+        verts = _vertices(a)
+        p, q = b.numerator, b.denominator
+        return verts and tuple(
+            _reduced(tuple(p * v for v in x), q * m, z) for x, m, z in verts
+        )
     if not isinstance(b, Cell):
         verts = _vertices(a)
         if not verts:
@@ -650,12 +667,14 @@ def _reduced(x: tuple[int, ...], m: int, z: int) -> tuple:
     return tuple(v // g for v in x), m // g, z
 
 
-def _centroid(verts, dim: int) -> Vector:
+def _mean(verts, weights: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
+    """The mean of the vertices X_i / M_i with positive integer weights w_i,
+    as (X, M): sum w_i X_i (L / M_i) over L sum w_i, L the lcm of the M_i."""
     big = lcm(*(m for _, m, _ in verts))
-    k = len(verts)
-    return tuple(
-        Fraction(sum(x[j] * (big // m) for x, m, _ in verts), big * k)
-        for j in range(dim)
+    scaled = [(w * (big // m), x) for w, (x, m, _) in zip(weights, verts)]
+    return (
+        tuple(sum(f * x[j] for f, x in scaled) for j in range(dim)),
+        big * sum(weights),
     )
 
 

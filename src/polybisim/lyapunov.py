@@ -4,6 +4,13 @@ Provides evaluation V(x) = max_j |[Lx]_j|, exact certification of the
 contraction rate of a linear map with respect to V, the geometric
 sequence of sublevel thresholds between the target and working sets, and
 the annular slices between consecutive sublevel polytopes.
+
+V is positively homogeneous, V(gamma x) = gamma V(x) for gamma > 0, so
+{V <= gamma} = gamma {V <= 1} (Blanchini 1999).  The unit ball's vertices
+are clipped once from its Cramer box and cached on the function
+(``PolyhedralLF.ball``).  Every level cell with gamma > 0 takes gamma
+times them, in Python ints and tight on the same rows, and the rate
+certificate reads its row maxima off them; no other level is clipped.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .geometry import (
@@ -20,10 +28,10 @@ from .geometry import (
     Region,
     Vector,
     _scaled,
+    _vertices,
     difference,
     mat,
     vec,
-    vertices,
 )
 
 
@@ -87,6 +95,19 @@ class PolyhedralLF:
     def n_rows(self) -> int:
         return len(self.l_matrix)
 
+    @cached_property
+    def ball(self) -> Cell:
+        """The unit ball {x : ||Lx||_inf <= 1}.  L has full column rank, so
+        it is bounded; its vertices come from one clip of its Cramer box
+        when it is first read, and stay with the cell."""
+        one = Fraction(1)
+        ball = Cell(
+            self.n,
+            [Constraint(row, one, False) for row in _signed_rows(self.l_matrix)],
+        )
+        _vertices(ball)
+        return ball
+
     @staticmethod
     def of(rows, rho) -> "PolyhedralLF":
         return PolyhedralLF(mat(rows), Fraction(rho))
@@ -140,24 +161,27 @@ def unit_ball_row_maxima(lf: PolyhedralLF, sys: LinearSystem) -> list[Fraction]:
     """For each row r of [L; -L]: max of r.(A x) over {||Lx||_inf <= 1}.
 
     A linear function's maximum over a polytope is attained at a vertex,
-    so each maximum is read off the unit ball's exact vertices: the
-    corners of its Cramer box clipped by the rows of [L; -L] (L has full
-    column rank, so the ball is bounded).  No LP is solved.
+    so each maximum is read off the unit ball's exact vertices
+    (``PolyhedralLF.ball``).  No LP is solved.  It runs in Python ints:
+    with r = l / e and A = a / d, the value at the vertex X / M is
+    (l a X) / (e d M), and the greatest is picked by cross-multiplying,
+    with one Fraction made per row.
     """
     if sys.n != lf.n:
         raise ValueError("system and L dimensions differ")
-    ball = vertices(sublevel_cell(lf, 1))
-    la = tuple(
-        tuple(
-            sum(lrow[i] * sys.a_matrix[i][j] for i in range(lf.n))
-            for j in range(lf.n)
-        )
-        for lrow in lf.l_matrix
-    )
-    return [
-        max(sum(a * x for a, x in zip(row, v)) for v in ball)
-        for row in _signed_rows(la)
-    ]
+    a, d = sys.scaled
+    ball = _vertices(lf.ball)
+    out = []
+    for row in _signed_rows(lf.l_matrix):
+        l, e = _scaled(row)
+        la = [sum(l[i] * a[i][j] for i in range(lf.n)) for j in range(lf.n)]
+        top, den = None, 1
+        for x, m, _ in ball:
+            s = sum(map(mul, la, x))
+            if top is None or s * den > top * m:
+                top, den = s, m
+        out.append(Fraction(top, e * d * den))
+    return out
 
 
 def verify_contraction(lf: PolyhedralLF, sys: LinearSystem) -> Fraction:
@@ -181,12 +205,18 @@ def level_sequence(gamma_d, gamma_x, rho) -> LevelSequence:
 
 
 def sublevel_cell(lf: PolyhedralLF, gamma) -> Cell:
-    """The polytope {x : ||Lx||_inf <= gamma} as 2l non-strict rows."""
+    """The polytope {x : ||Lx||_inf <= gamma} as 2l non-strict rows.
+
+    For gamma > 0 it is gamma times the unit ball, row for row, so its
+    vertices, when needed, are gamma times the ball's, tight on the same
+    rows, and no clip of its own is made.  Gamma = 0 (the origin) and
+    gamma < 0 (empty) keep the Cramer box of ``geometry``."""
     gamma = Fraction(gamma)
-    return Cell(
-        lf.n,
-        [Constraint(row, gamma, False) for row in _signed_rows(lf.l_matrix)],
-    )
+    ball = lf.ball
+    cell = Cell(lf.n, [Constraint(c.normal, gamma, False) for c in ball.constraints])
+    if gamma > 0:
+        cell._src = (ball, gamma)  # ``geometry._derived`` scales
+    return cell
 
 
 def slices(levels: Sequence[Cell]) -> list[Region]:

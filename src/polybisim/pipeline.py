@@ -97,16 +97,15 @@ def run_pipeline(
                 fh.write(export_satisfying(satisfying, quotient, partition))
         if svg:
             if spec.n == 2:
-                from .svg import render_partition_svg, write_svg
+                from .svg import add_highlight, render_partition_svg, write_svg
 
-                write_svg(
-                    os.path.join(out_dir, "partition.svg"),
-                    render_partition_svg(partition),
-                )
+                # the blocks are drawn once, for both files
+                text = render_partition_svg(partition)
+                write_svg(os.path.join(out_dir, "partition.svg"), text)
                 if satisfying is not None:
                     write_svg(
                         os.path.join(out_dir, "satisfying.svg"),
-                        render_partition_svg(partition, satisfying.region),
+                        add_highlight(text, satisfying.region),
                     )
             else:
                 lines.append("svg: skipped, plotting supports n=2 only")

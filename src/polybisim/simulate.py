@@ -9,8 +9,13 @@ point p / m with m > 0 (``geometry.scale_point``), and A as (a, d) with
 A = a / d (``LinearSystem.scaled``), so one step is p <- a p, m <- d m,
 reduced by their gcd, and each observation tests the integer rows.  A
 random sample mixes a cell's integer vertices (X, M) the same way.
-``Fraction``s are made only for what a caller reads: the trajectory's
-points and the sample points.
+``Fraction``s are made only for what a caller reads: the sample points,
+and a trajectory's points when they are first read.
+
+A formula's verdict on a trajectory depends on its observation word
+alone (the lasso is the word, its last letter repeated), so
+cross-validation evaluates the formula once per distinct word, however
+many samples share it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -33,7 +39,8 @@ from .abstraction import (
 )
 from .errors import InternalError
 from .geometry import (
-    Cell, Vector, _vertices, contains_scaled, sample_point, scale_point, vec,
+    Cell, Vector, _mean, _vertices, contains_scaled, sample_point, scale_point,
+    vec,
 )
 from .logic import Formula, LassoWord, eval_ltl_lasso
 from .lyapunov import LinearSystem
@@ -41,10 +48,16 @@ from .lyapunov import LinearSystem
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Exact run of the embedding dynamics until the target set is hit."""
+    """Exact run of the embedding dynamics until the target set is hit:
+    each point as (p, m), the point p / m with m > 0, and its
+    observation."""
 
-    points: tuple[Vector, ...]
+    scaled: tuple[tuple[tuple[int, ...], int], ...]
     word: tuple[Observation, ...]
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(v, m) for v in p) for p, m in self.scaled)
 
     def lasso(self) -> LassoWord:
         return LassoWord(
@@ -72,7 +85,7 @@ def simulate(
     if not contains_scaled(x_cell, p, m):
         raise ValueError("initial state lies outside the working set")
     a, d = sys.scaled
-    points = [x]
+    points = [(p, m)]
     word = [_observation_scaled(p, m, regions, d_cell)]
     steps = 0
     while not word[-1].is_target:
@@ -84,7 +97,7 @@ def simulate(
         g = gcd(m, *p)
         if g > 1:
             p, m = tuple(v // g for v in p), m // g
-        points.append(tuple(Fraction(v, m) for v in p))
+        points.append((p, m))
         word.append(_observation_scaled(p, m, regions, d_cell))
         steps += 1
     return Trajectory(tuple(points), tuple(word))
@@ -124,21 +137,13 @@ class CrossValidationReport:
         return out
 
 
-def _jitter(cell: Cell, rng: random.Random) -> Vector:
-    """A random rational point of the cell: its vertices weighted by random
-    positive integers.  Each strict row of a non-empty cell is slack at
-    some vertex (``geometry.is_empty``), so it is slack at the point.  The
-    mean of the vertices X_i / M_i with weights w_i is sum w_i X_i (L / M_i)
-    over L sum w_i, L the lcm of the M_i."""
+def _jitter(cell: Cell, rng: random.Random) -> tuple[tuple[int, ...], int]:
+    """A random rational point of the cell as (X, M), the point X / M: its
+    vertices weighted by random positive integers.  Each strict row of a
+    non-empty cell is slack at some vertex (``geometry.is_empty``), so it
+    is slack at the point."""
     verts = _vertices(cell)
-    weights = [rng.randrange(1, 1000) for _ in verts]
-    big = lcm(*(m for _, m, _ in verts))
-    scaled = [(w * (big // m), x) for w, (x, m, _) in zip(weights, verts)]
-    total = big * sum(weights)
-    return tuple(
-        Fraction(sum(f * x[j] for f, x in scaled), total)
-        for j in range(cell.dim)
-    )
+    return _mean(verts, [rng.randrange(1, 1000) for _ in verts], cell.dim)
 
 
 def sample_states(
@@ -159,7 +164,11 @@ def sample_states(
     out = []
     for k in range(count):
         b = order[k % len(order)]
-        out.append((b.id, sample_point(b.cell) if k < len(order) else _jitter(b.cell, rng)))
+        if k < len(order):
+            out.append((b.id, sample_point(b.cell)))
+        else:
+            x, m = _jitter(b.cell, rng)
+            out.append((b.id, tuple(Fraction(v, m) for v in x)))
     return out
 
 
@@ -174,11 +183,13 @@ def cross_validate(
     seed: int = 0,
 ) -> CrossValidationReport:
     """Check word equivalence (and, when a formula is given, verdict
-    equivalence) on block-directed samples.  Both checks are exact."""
+    equivalence) on block-directed samples.  Both checks are exact; the
+    formula is evaluated once per distinct trajectory word."""
     samples = sample_states(partition, sample_count, seed)
     max_steps = len(partition.slice_regions) + 1
 
     outcomes = []
+    verdicts: dict[tuple[Observation, ...], bool] = {}
     for block_id, x in samples:
         traj = simulate(
             sys, partition.x_cell, partition.d_cell, regions, x, max_steps
@@ -187,7 +198,11 @@ def cross_validate(
         word_ok = traj.word == qword
         verdict_ok = True
         if formula is not None and satisfying_ids is not None:
-            verdict = eval_ltl_lasso(formula, traj.lasso())
+            verdict = verdicts.get(traj.word)
+            if verdict is None:
+                verdict = verdicts[traj.word] = eval_ltl_lasso(
+                    formula, traj.lasso()
+                )
             verdict_ok = verdict == (block_id in satisfying_ids)
         outcomes.append(SampleOutcome(x, word_ok, verdict_ok))
     return CrossValidationReport(tuple(outcomes))

@@ -5,7 +5,9 @@ the point X / M with M > 0, that ``geometry`` caches for every bounded
 cell, ordered by angle around their centroid.  Floats appear only in the
 final coordinate formatting, as X_j / M: Python's int / int is correctly
 rounded, as ``float(Fraction)`` is, so identical inputs always produce
-byte-identical files.
+byte-identical files.  ``add_highlight`` fills a highlight on top of a
+drawn partition, so a second document of the same partition does not
+draw its blocks again.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ _FILL_BY_OBS = {
 _REGION_FILL = "#9fd49b"
 _HIGHLIGHT_FILL = "#9b6bbf"
 _SIZE = 640
+_END = "</svg>\n"
 
 
 def cell_vertices(cell: Cell) -> list[tuple[tuple[int, int], int]]:
@@ -88,14 +91,23 @@ def render_partition_svg(
             continue  # lower-dimensional sliver, invisible at fill scale
         fill = _FILL_BY_OBS.get(b.observation.label, _REGION_FILL)
         lines.append(_polygon(pts, fill, "#555555"))
-    if highlight is not None:
-        for cell in highlight.cells:
-            pts = cell_vertices(cell)
-            if len(pts) < 3:
-                continue
-            lines.append(_polygon(pts, _HIGHLIGHT_FILL, "#3d2a52", "0.85"))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return add_highlight("\n".join(lines) + "\n" + _END, highlight)
+
+
+def add_highlight(text: str, highlight: Optional[Region]) -> str:
+    """A document of ``render_partition_svg`` with no highlight, with the
+    highlight's cells filled on top: the same text that rendering the
+    partition with that highlight gives, with no block drawn again."""
+    if highlight is None:
+        return text
+    lines = [text[: -len(_END)]]
+    for cell in highlight.cells:
+        pts = cell_vertices(cell)
+        if len(pts) < 3:
+            continue
+        lines.append(_polygon(pts, _HIGHLIGHT_FILL, "#3d2a52", "0.85") + "\n")
+    lines.append(_END)
+    return "".join(lines)
 
 
 def write_svg(path, text: str) -> None:

@@ -1,13 +1,24 @@
 """Lyapunov function evaluation, contraction certification, level
 sequences and slices."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polybisim import lp
-from polybisim.geometry import contains_point, region_contains_point, vec
+from polybisim.geometry import (
+    Cell,
+    _cramer_vertices,
+    _vertices,
+    contains_point,
+    is_empty,
+    region_contains_point,
+    vec,
+    vertices,
+)
 from polybisim.lyapunov import (
     _rank,
     LevelSequence,
@@ -182,6 +193,62 @@ def test_sublevel_cell_membership():
     for _ in range(100):
         x = vec([Fraction(rng.randrange(-30, 30), 9) for _ in range(2)])
         assert contains_point(cell, x) == (lf_value(lf, x) <= 2)
+
+
+def _fresh_clip(cell):
+    """The vertices of a fresh cell of the same rows, from its own clip of
+    its Cramer box."""
+    return _cramer_vertices(Cell(cell.dim, cell.constraints))
+
+
+def _problem_levels():
+    """(L, gammas) of the fixtures and the golden problem: every level of
+    their sequences, gamma_D and gamma_X among them."""
+    root = Path(__file__).resolve().parent
+    paths = sorted((root.parent / "fixtures").glob("*.json"))
+    paths += [root / "golden" / "two_slice_2d.json"]
+    for path in paths:
+        doc = json.loads(path.read_text())
+        lf = PolyhedralLF.of(doc["L"], doc["rho"])
+        yield lf, level_sequence(doc["gamma_D"], doc["gamma_X"], lf.rho).gammas
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_level_vertices_are_the_ball_scaled(n, fallbacks):
+    """A level cell with gamma > 0 takes gamma times the unit ball's
+    vertices and no clip of its own; they are the tuples (X, M, Z), in the
+    same order, that a fresh Cramer clip of its rows gives.  Seeded L with
+    redundant rows and gammas with large numerators and denominators, and
+    the fixtures' levels; gamma = 0 (the origin) and gamma < 0 (empty)
+    keep the Cramer path."""
+    rng = random.Random(f"level-vertices-{n}")
+    cases = [
+        (lf, gammas) for lf, gammas in _problem_levels() if lf.n == n
+    ]
+    for _ in range(60):
+        lf = _random_lf(rng, n, rng.randint(0, 3))
+        gammas = [
+            Fraction(rng.randrange(1, 10**12), rng.randrange(1, 10**9)),
+            Fraction(rng.randrange(1, 10**3), rng.randrange(10**11, 10**12)),
+            Fraction(rng.randrange(1, 100), rng.randrange(1, 100)),
+            Fraction(1),
+        ]
+        cases.append((lf, gammas))
+    checked = 0
+    for lf, gammas in cases:
+        fallbacks.clear()
+        cells = [sublevel_cell(lf, g) for g in gammas]
+        scaled = [_vertices(cell) for cell in cells]
+        assert fallbacks == [lf.ball.constraints]  # the ball's clip, once
+        for cell, verts in zip(cells, scaled):
+            assert verts == _fresh_clip(cell)
+            checked += 1
+        fallbacks.clear()
+        origin, empty = sublevel_cell(lf, 0), sublevel_cell(lf, -1)
+        assert vertices(origin) == [(F(0),) * n] and not is_empty(origin)
+        assert vertices(empty) == [] and is_empty(empty)
+        assert len(fallbacks) == 2
+    assert checked >= 240
 
 
 def test_slices_partition_the_working_set():

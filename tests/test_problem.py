@@ -234,10 +234,10 @@ def one_slice_doc():
 def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
     """load_problem + run_pipeline cut X \\ D only where it is a slice
     (inside ``lyapunov.slices``, once), compute the contraction rates
-    once, and prove the box of X and of D once each.  X and D have no
-    source, so each takes one Cramer start, which gives its vertices, box
-    and emptiness.  Both documents have gamma_D = 1, so the unit ball of
-    the contraction rates has D's rows and counts as a second D start."""
+    once, and prove the box of X and of D once each.  The unit ball takes
+    the only Cramer start, once: X and D are gamma times it, and take its
+    vertices scaled.  Both documents have gamma_D = 1, so the ball has D's
+    rows and its start counts as D's."""
     names = {}
     counts = Counter()
     real = {
@@ -293,8 +293,7 @@ def test_load_and_run_prove_regions_and_certify_once(tmp_path, monkeypatch):
             "X minus D": x_minus_d,
             "X minus D in slices": x_minus_d,
             "row maxima": 1,
-            "X start": 1,
-            "D start": 2,
+            "D start": 1,
             "X box": 1,
             "D box": 1,
         })
@@ -348,14 +347,15 @@ def rank_one_doc():
 def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
     """Rates come from the unit ball's vertices and the cells decide from
     their vertices, so load_problem + run_pipeline solve no LP at all.
-    The cells with no source take one Cramer start each: X, D, the unit
-    ball and the regions.  ``remove_redundancy`` reads a full-dimensional
+    The cells with no source take one Cramer start each: the unit ball
+    and the regions (X, D and the other levels take the ball's vertices
+    scaled).  ``remove_redundancy`` reads a full-dimensional
     cell's rows off its faces, so only its greedy tests on unbounded,
     empty or flat cells take one: under the singular A of rank_one, with
     the unbounded preimages themselves, whose clip also settles their
     boxes.  No cell object takes a second start."""
     golden = Path(__file__).resolve().parent / "golden" / "two_slice_2d.json"
-    problems = [(one_slice_doc(), 4), (golden, 6), (three_d_doc(), 6), (rank_one_doc(), 49)]
+    problems = [(one_slice_doc(), 2), (golden, 3), (three_d_doc(), 3), (rank_one_doc(), 46)]
     for k, (problem, boxes) in enumerate(problems):
         if isinstance(problem, dict):
             path = tmp_path / f"p{k}.json"
@@ -367,7 +367,7 @@ def test_load_and_run_solve_no_lp(tmp_path, lp_calls, fallbacks):
         assert result.exit_code == 0
         assert lp_calls == []
         assert len(fallbacks) == boxes
-    assert len({id(c) for c in fallbacks.cells}) == len(fallbacks.cells) == 65
+    assert len({id(c) for c in fallbacks.cells}) == len(fallbacks.cells) == 54
 
 
 def test_validated_regions_are_proven_again_for_other_sets():

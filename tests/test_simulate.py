@@ -8,13 +8,17 @@ from pathlib import Path
 import pytest
 
 from polybisim import load_problem
-from polybisim.abstraction import ObservedRegion, build_quotient, observation_of
-from polybisim.geometry import (
-    Cell, apply_matrix, constraint, contains_point, is_empty, vertices,
+from polybisim.abstraction import (
+    ObservedRegion, build_quotient, observation_of, quotient_word,
 )
-from polybisim.logic import parse_ltl
+from polybisim.geometry import (
+    Cell, apply_matrix, constraint, contains_point, is_empty, sample_point,
+    vertices,
+)
+from polybisim.logic import eval_ltl_lasso, parse_ltl
 from polybisim.lyapunov import LinearSystem, PolyhedralLF, sublevel_cell
 from polybisim.simulate import _jitter, cross_validate, sample_states, simulate
+from polybisim.verify import label_quotient
 
 
 def F(v):
@@ -166,8 +170,9 @@ def _fraction_jitter(cell, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jitter_matches_the_fraction_mean(n):
-    """The same point as the Fraction mean, and the same rng state after
-    it, on cells whose vertices have unlike denominators."""
+    """The same point as the Fraction mean, X_j / M for the integers
+    (X, M) it returns, and the same rng state after it, on cells whose
+    vertices have unlike denominators."""
     rng = random.Random(800 + n)
     drawn = 0
     for _ in range(40):
@@ -186,7 +191,8 @@ def test_jitter_matches_the_fraction_mean(n):
             continue
         seed = rng.randrange(10**6)
         ours, ref = random.Random(seed), random.Random(seed)
-        point = _jitter(cell, ours)
+        x, m = _jitter(cell, ours)
+        point = tuple(Fraction(v, m) for v in x)
         assert point == _fraction_jitter(cell, ref)
         assert ours.getstate() == ref.getstate()
         if not is_empty(cell):
@@ -292,3 +298,136 @@ def test_cross_validation_samples_every_block_or_every_slice(monkeypatch):
         drawn = sample_states(partition, count, count)
         assert [x for _, x in drawn] == [s.point for s in report.samples]
         assert all(contains_point(partition.blocks[b].cell, x) for b, x in drawn)
+
+
+def _seeded_problem(rng, n):
+    """x' = A x under V = ||x||_inf, whose rate is A's row-sum norm r, with
+    gamma_D = 1, gamma_X = 2 and two boxes in X \\ D: r1 with x_0 > 1, r2
+    with x_0 < -1."""
+    r = rng.choice([Fraction(3, 5), Fraction(7, 10), Fraction(4, 5)])
+    while True:
+        rows = [[_random_rational(rng, -5, 5, 6) for _ in range(n)] for _ in range(n)]
+        norm = max(sum(abs(v) for v in row) for row in rows)
+        if norm:
+            break
+    sys = LinearSystem(tuple(tuple(v * r / norm for v in row) for row in rows))
+    lf = PolyhedralLF.of([[int(i == j) for j in range(n)] for i in range(n)], r)
+    regions = []
+    for name, lo0 in (("r1", Fraction(11, 10)), ("r2", -2)):
+        lo = [lo0] + [_random_rational(rng, -2, 1, 4) for _ in range(n - 1)]
+        rows = []
+        for j in range(n):
+            unit = [int(i == j) for i in range(n)]
+            rows.append(constraint(unit, lo[j] + Fraction(9, 10)))
+            rows.append(constraint([-u for u in unit], -lo[j]))
+        regions.append(ObservedRegion(name, Cell(n, rows)))
+    quotient, partition = build_quotient(sys, lf, 1, 2, regions)
+    return sys, quotient, partition, regions
+
+
+_FORMULAS = ("F r1", "G !r2", "!r1 U pid", "F (r1 | r2)", "G (r1 -> X !r2)", "r2 | X r1")
+
+
+def _cross_validation_case(name, request):
+    """(system, quotient, partition, regions, formulas, sample count)."""
+    if name == "paper":
+        spec = request.getfixturevalue("paper_spec")
+        quotient, partition, _ = request.getfixturevalue("paper_build")
+        return spec.system, quotient, partition, spec.regions, [spec.formula], 900
+    if name == "two_slice_2d":
+        spec = load_problem(Path(__file__).resolve().parent / "golden" / "two_slice_2d.json")
+        quotient, partition = build_quotient(
+            spec.system, spec.lf, spec.gamma_d, spec.gamma_x, spec.regions
+        )
+        return spec.system, quotient, partition, spec.regions, [spec.formula], 70
+    n = int(name.split("-")[1])
+    rng = random.Random(f"cross-validate-{n}")
+    sys, quotient, partition, regions = _seeded_problem(rng, n)
+    return sys, quotient, partition, regions, rng.sample(_FORMULAS, 3), 2 * len(partition)
+
+
+def _reference_samples(partition, count, seed):
+    """``sample_states`` in Fractions: the same seeded block order, each
+    block's first sample the Fraction centroid of ``vertices``, a later one
+    the Fraction mean of ``_fraction_jitter``."""
+    rng = random.Random(seed)
+    by_slice = {}
+    for b in partition.ordered_blocks():
+        by_slice.setdefault(b.slice_index, []).append(b)
+    shuffled = [rng.sample(group, len(group)) for group in by_slice.values()]
+    order = [
+        group[k] for k in range(max(map(len, shuffled))) for group in shuffled
+        if k < len(group)
+    ]
+    out = []
+    for k in range(count):
+        b = order[k % len(order)]
+        if k < len(order):
+            points = vertices(b.cell)
+            x = tuple(sum(col) / len(points) for col in zip(*points))
+        else:
+            x = _fraction_jitter(b.cell, rng)
+        out.append((b.id, x))
+    return out
+
+
+def _reference_mismatches(sys, quotient, partition, regions, formula, satisfying_ids, samples):
+    """Per sample (word_ok, verdict_ok): ``simulate`` and one
+    ``eval_ltl_lasso`` call each, no memo."""
+    out = []
+    steps = len(partition.slice_regions) + 1
+    for block_id, x in samples:
+        traj = simulate(sys, partition.x_cell, partition.d_cell, regions, x, steps)
+        word_ok = traj.word == quotient_word(quotient, block_id)
+        verdict = eval_ltl_lasso(formula, traj.lasso())
+        out.append((word_ok, verdict == (block_id in satisfying_ids)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["two_slice_2d", "paper", "seeded-1", "seeded-2", "seeded-3"]
+)
+def test_cross_validation_matches_a_per_sample_loop(name, request, monkeypatch):
+    """cross_validate's samples are the Fraction reference's, and its
+    word_ok and verdict_ok those of a loop that evaluates the formula on
+    every sample, though it evaluates it once per distinct word.  With
+    one sampled block's membership of the satisfying set flipped, both
+    report the same mismatches, at least one."""
+    sys, quotient, partition, regions, formulas, count = _cross_validation_case(name, request)
+    module = importlib.import_module("polybisim.simulate")
+    evaluated = []
+
+    def counting(formula, lasso):
+        evaluated.append(lasso)
+        return eval_ltl_lasso(formula, lasso)
+
+    monkeypatch.setattr(module, "eval_ltl_lasso", counting)
+    atoms = {"pid"} | {r.label for r in regions}
+    samples = _reference_samples(partition, count, seed=7)
+    for text in formulas:
+        formula = parse_ltl(text, atoms)
+        sat = label_quotient(quotient, formula, partition).state_ids
+        flipped = sat ^ {samples[0][0]}
+        for ids in (sat, flipped):
+            evaluated.clear()
+            report = cross_validate(sys, quotient, partition, regions, formula, ids, count, seed=7)
+            assert [s.point for s in report.samples] == [x for _, x in samples]
+            expected = _reference_mismatches(sys, quotient, partition, regions, formula, ids, samples)
+            assert [(s.word_ok, s.verdict_ok) for s in report.samples] == expected
+            assert report.mismatches == sum(not (w and v) for w, v in expected)
+            assert len(evaluated) == len(set(evaluated)) < count
+        assert report.mismatches > 0 and all(s.word_ok for s in report.samples)
+
+
+@pytest.mark.parametrize(
+    "name", ["two_slice_2d", "paper", "seeded-1", "seeded-2", "seeded-3"]
+)
+def test_block_samples_are_the_fraction_centroids(name, request):
+    """Every block's sample_point is the centroid of ``vertices`` of its
+    cell, in Fractions, and lies in the block."""
+    _, _, partition, *_ = _cross_validation_case(name, request)
+    for b in partition.blocks.values():
+        points = vertices(b.cell)
+        centroid = tuple(sum(col) / len(points) for col in zip(*points))
+        assert sample_point(b.cell) == centroid
+        assert contains_point(b.cell, centroid)
