@@ -1,7 +1,7 @@
 """Finite bisimulation quotients of stable linear systems via polyhedral
 Lyapunov sublevel sets, with LTL verification over polytopic regions."""
 
-from .errors import InternalError
+from .errors import InternalError, ProblemError
 from .geometry import (
     Cell,
     Constraint,
@@ -60,7 +60,7 @@ from .verify import (
     satisfying_states,
 )
 from .simulate import Trajectory, cross_validate, simulate
-from .problem import ProblemError, ProblemSpec, load_problem
+from .problem import ProblemSpec, load_problem
 from .pipeline import PipelineResult, run_pipeline
 
 __version__ = "0.1.0"

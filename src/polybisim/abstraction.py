@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InternalError
+from .errors import (
+    MALFORMED,
+    REGION_DOMAIN,
+    REGION_OVERLAP,
+    InternalError,
+    ProblemError,
+)
 from .geometry import (
     Cell,
     Region,
@@ -99,29 +105,29 @@ class Block:
 
 
 class Partition:
-    """Disjoint blocks covering the working set, each inside one slice."""
+    """Disjoint blocks covering the working set, each inside one slice.
+
+    ``levels`` are the sublevel cells P_0..P_N: D is P_0, X is P_N, and
+    slice i holds the points of P_i outside P_{i-1}.
+    """
 
     def __init__(
         self,
-        dim: int,
         blocks: Iterable[Block],
+        levels: Sequence[Cell],
         slice_regions: Sequence[Region],
-        x_cell: Cell,
-        d_cell: Cell,
-        d_block_id: int,
     ):
-        self.dim = dim
         self.blocks: dict[int, Block] = {b.id: b for b in blocks}
+        self.levels = tuple(levels)
         self.slice_regions = list(slice_regions)
-        self.x_cell = x_cell
-        self.d_cell = d_cell
-        self.d_block_id = d_block_id
+        self.d_cell, self.x_cell = self.levels[0], self.levels[-1]
+        self.dim = self.x_cell.dim
+        self.d_block_id = next(
+            b.id for b in self.blocks.values() if b.observation.is_target
+        )
         # the certified contraction rate, once build_quotient has one
         self.rho_star: Optional[Fraction] = None
-        # the sublevel cells P_0..P_N, once build_quotient has them: slice i
-        # holds the points of P_i outside P_{i-1}
-        self.levels: tuple[Cell, ...] = ()
-        self._next_id = 1 + max(self.blocks, default=-1)
+        self._next_id = 1 + max(self.blocks)
 
     def fresh_id(self) -> int:
         i = self._next_id
@@ -137,19 +143,18 @@ class Partition:
     def cell_of(self, x: Sequence) -> int:
         """The block holding the point.  Slices are outer-closed and
         inner-open, so the first level cell that holds the point names its
-        slice, and only that slice's blocks are tested; with no level cells
-        every block is."""
+        slice, and only that slice's blocks are tested."""
         p, m = scale_point(x, self.dim)
         if not contains_scaled(self.x_cell, p, m):
             raise ValueError("point lies outside the working set")
-        # the last level is X, which holds the point; -1: no level cells
+        # the last level is X, which holds the point
         i = next(
             (k for k, c in enumerate(self.levels[:-1]) if contains_scaled(c, p, m)),
             len(self.levels) - 1,
         )
         for b in self.blocks.values():
             if (
-                (i < 0 or b.slice_index == i)
+                b.slice_index == i
                 and box_contains_scaled(b.cell, p, m)
                 and contains_scaled(b.cell, p, m)
             ):
@@ -186,20 +191,6 @@ def _observation_scaled(
     return OBS_EMPTY
 
 
-# Error codes carried by RegionError; problem files report them as is.
-MALFORMED = "MALFORMED"
-REGION_DOMAIN = "REGION_DOMAIN"
-REGION_OVERLAP = "REGION_OVERLAP"
-
-
-class RegionError(ValueError):
-    """Observed regions that the quotient cannot be built on."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class ValidatedRegions(tuple):
     """Observed regions proven unique, disjoint and inside X \\ D.
 
@@ -215,27 +206,27 @@ def validate_regions(
     """Prove that the labels are unique, that each region lies inside X and
     misses D and is not empty, and that the regions are pairwise disjoint.
     X \\ D itself is never cut here.  Regions already validated against
-    equal X and D are returned as is."""
+    equal X and D are returned as is.  A failure raises ProblemError."""
     if isinstance(regions, ValidatedRegions) and (
         regions.x_cell.constraints, regions.d_cell.constraints
     ) == (x_cell.constraints, d_cell.constraints):
         return regions
     labels = [r.label for r in regions]
     if len(set(labels)) != len(labels):
-        raise RegionError(MALFORMED, "duplicate region labels")
+        raise ProblemError(MALFORMED, "duplicate region labels")
     for r in regions:
         if not (cell_subset(r.cell, x_cell) and cells_disjoint(r.cell, d_cell)):
-            raise RegionError(
+            raise ProblemError(
                 REGION_DOMAIN,
                 f"region {r.label} is not inside the working set minus "
                 "the target set",
             )
         if is_empty(r.cell):
-            raise RegionError(MALFORMED, f"region {r.label} is empty")
+            raise ProblemError(MALFORMED, f"region {r.label} is empty")
     for i, a in enumerate(regions):
         for b in regions[i + 1 :]:
             if not cells_disjoint(a.cell, b.cell):
-                raise RegionError(
+                raise ProblemError(
                     REGION_OVERLAP, f"regions {a.label} and {b.label} overlap"
                 )
     out = ValidatedRegions(regions)
@@ -244,24 +235,21 @@ def validate_regions(
 
 
 def initial_partition(
-    x_cell: Cell,
-    d_cell: Cell,
-    regions: Sequence[ObservedRegion],
-    slice_regions: Sequence[Region],
+    levels: Sequence[Cell], regions: Sequence[ObservedRegion]
 ) -> Partition:
-    """Refine the observation partition by every slice.
+    """The partition of the levels P_0..P_N refined by the observations.
 
-    Equivalent to refining {regions, leftover, target} by the slices: each
-    slice cell is cut against each region, and what is left is unobserved.
-    Regions already validated against the same X and D are not proven
-    again; any other sequence is, and a failure raises RegionError.
+    Validates the regions against X = P_N and D = P_0; regions already
+    validated against the same X and D are not proven again, and their
+    cells, which carry the proof, cached box and sample, take the place
+    of P_0 and P_N.  Each slice cell is cut against each region, and what
+    is left is unobserved.  D is block 0, with its self loop.
     """
-    regions = validate_regions(x_cell, d_cell, regions)
-    x_cell, d_cell = regions.x_cell, regions.d_cell
+    regions = validate_regions(levels[-1], levels[0], regions)
+    levels = (regions.d_cell, *levels[1:-1], regions.x_cell)
+    slice_regions = make_slices(levels)
 
-    blocks = []
-    d_block = Block(0, d_cell, OBS_TARGET, 0, successor=0)
-    blocks.append(d_block)
+    blocks = [Block(0, regions.d_cell, OBS_TARGET, 0, successor=0)]
 
     def add(cell, observation, i):
         blocks.append(Block(len(blocks), remove_redundancy(cell), observation, i))
@@ -270,25 +258,28 @@ def initial_partition(
         for sc in slice_regions[i].cells:
             remaining = [sc]
             for r in regions:
-                cuts = [split(c, Region((r.cell,))) for c in remaining]
-                for inside, _ in cuts:
-                    for piece in inside:
-                        add(piece, Observation(r.label), i)
-                remaining = [c for _, outside in cuts for c in outside]
+                rest = []
+                for c in remaining:
+                    inside, outside = split(c, r.cell)
+                    if inside is not None:
+                        add(inside, Observation(r.label), i)
+                    rest += outside
+                remaining = rest
             for c in remaining:
                 add(c, OBS_EMPTY, i)
-    return Partition(x_cell.dim, blocks, slice_regions, x_cell, d_cell, d_block.id)
+    return Partition(blocks, levels, slice_regions)
 
 
-def find_pre(target: Region, sys: LinearSystem) -> Region:
-    """The states whose one-step image lies in target: the non-empty
-    preimage of each target cell, as it is.  The refinement cuts blocks
-    that already lie in X \\ D, so the preimage is not cut by it.  When A
-    is invertible x -> Ax is a bijection: the preimage of a
+def find_pre(target: Cell, sys: LinearSystem) -> Optional[Cell]:
+    """The states whose one-step image lies in the target cell: its
+    preimage as it is, or None when that is empty.  The refinement cuts
+    blocks that already lie in X \\ D, so the preimage is not cut by it.
+    When A is invertible x -> Ax is a bijection: the preimage of a
     redundancy-free cell is redundancy-free, and it carries the cell's
     vertices mapped by A^-1, which prove it non-empty.  Under a singular
     A its Cramer box decides."""
-    return Region.of(preimage_linear(tc, sys.a_matrix) for tc in target.cells)
+    pre = preimage_linear(target, sys.a_matrix)
+    return None if is_empty(pre) else pre
 
 
 def build_quotient(
@@ -304,26 +295,22 @@ def build_quotient(
     ``partition.rho_star``.  Raises ContractionError when neither the
     declared rate nor the exact slice-descent certificate holds; the
     refinement loop is only sound on top of a certified descent property.
-    Raises RegionError (a ValueError) when the regions are not unique,
+    Raises ProblemError (a ValueError) when the regions are not unique,
     disjoint and inside X \\ D.
     """
     seq = level_sequence(gamma_d, gamma_x, lf.rho)
     rho_star = certified_rate(lf, sys, seq)
 
     levels = [sublevel_cell(lf, gamma) for gamma in seq.gammas]
-    regions = validate_regions(levels[-1], levels[0], regions)
-    # validated cells carry their proof, cached box and sample
-    levels[0], levels[-1] = regions.d_cell, regions.x_cell
-    partition = initial_partition(levels[-1], levels[0], regions, make_slices(levels))
+    partition = initial_partition(levels, regions)
     partition.rho_star = rho_star
-    partition.levels = tuple(levels)
 
     blocks = partition.blocks
     for i in range(seq.n_steps):
         targets = [b for b in blocks.values() if b.slice_index == i]
         for tgt in targets:
-            pre = find_pre(Region((tgt.cell,)), sys)
-            if pre.is_empty():
+            pre = find_pre(tgt.cell, sys)
+            if pre is None:
                 continue
             candidates = [
                 b
@@ -332,22 +319,22 @@ def build_quotient(
             ]
             for b in candidates:
                 inside, outside = split(b.cell, pre)
-                if not inside:
+                if inside is None:
                     continue
-                if len(inside) == 1 and not outside:
+                if not outside:
                     b.successor = tgt.id
                     continue
                 del blocks[b.id]
-                for pieces, successor in ((inside, tgt.id), (outside, None)):
-                    for piece in pieces:
-                        nb = Block(
-                            partition.fresh_id(),
-                            remove_redundancy(piece),
-                            b.observation,
-                            b.slice_index,
-                            successor,
-                        )
-                        blocks[nb.id] = nb
+                pieces = [(inside, tgt.id)] + [(c, None) for c in outside]
+                for piece, successor in pieces:
+                    nb = Block(
+                        partition.fresh_id(),
+                        remove_redundancy(piece),
+                        b.observation,
+                        b.slice_index,
+                        successor,
+                    )
+                    blocks[nb.id] = nb
 
     missing = [b.id for b in blocks.values() if b.successor is None]
     if missing:
@@ -446,26 +433,23 @@ def audit_partition(
     }
 
 
-def quotient_word(
-    quotient: QuotientTS, start: int, max_len: Optional[int] = None
-) -> tuple[Observation, ...]:
+def quotient_word(quotient: QuotientTS, start: int) -> tuple[Observation, ...]:
     """The unique observation word from a state.
 
     The word ends with the target observation, which by convention repeats
     forever; the finite tuple returned is the prefix up to and including
-    its first occurrence.
+    its first occurrence.  A path that visits more states than the
+    quotient has cycles short of the target: InternalError.
     """
-    if max_len is None:
-        max_len = len(quotient.states) + 1
     word = []
     state = start
-    for _ in range(max_len):
+    for _ in range(len(quotient.states) + 1):
         obs = quotient.observations[state]
         word.append(obs)
         if state == quotient.target_state:
             return tuple(word)
         state = quotient.transitions[state]
-    raise InternalError("target state not reached within max_len steps")
+    raise InternalError("the successor chain cycles without reaching the target")
 
 
 def _format_fraction(x: Fraction) -> str:

@@ -32,7 +32,8 @@ from .pipeline import (
     EXIT_OK,
     run_pipeline,
 )
-from .problem import ProblemError, load_problem
+from .errors import ProblemError
+from .problem import load_problem
 from .simulate import simulate as run_simulation
 
 
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
         for line in result.report_lines:
             print(line)
         return result.exit_code
-    except (ProblemError, ValueError) as exc:
+    except ValueError as exc:  # ProblemError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractionError as exc:

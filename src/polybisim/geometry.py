@@ -6,8 +6,9 @@ pairwise-disjoint Cells.  Every predicate (emptiness, membership,
 redundancy) is decided exactly with rational arithmetic; there are no
 tolerances anywhere in this module.
 
-Both refinements cut with ``split(cell, region)``: the parts of a cell
-inside and outside a disjoint region, each intersection decided once.
+Both refinements cut one cell by another with ``split(cell, other)``:
+the part of the cell inside the other and the pieces outside it, the
+intersection decided once.
 
 A cell caches the exact vertices of its relaxed closure R (its rows with
 every strict flag dropped) and, for each vertex, the bitmask of the rows
@@ -276,51 +277,46 @@ def complement(cell: Cell) -> Region:
     return Region.of(_complement_pieces(cell))
 
 
-def _cut(pieces: list[Cell], bc: Cell, met: Optional[Cell] = None) -> list[Cell]:
-    """The pieces minus bc.  A piece that misses bc stays as it is; one
-    that meets it is cut by bc's complement pieces, not proven non-empty
-    first, keeping the intersections proven non-empty.  ``met`` is cut with
-    no meet test: it is known to meet bc, or only its pieces are wanted."""
-    comp = _complement_pieces(bc)
+def _outside(cell: Cell, bc: Cell) -> list[Cell]:
+    """The cell minus bc: the cell cut by bc's complement pieces, keeping
+    the intersections proven non-empty.  The cell is not tested against
+    bc first."""
     out = []
-    for piece in pieces:
-        if piece is not met and cells_disjoint(piece, bc):
-            out.append(piece)
-            continue
-        for cc in comp:
-            inter = intersect(piece, cc)
-            if not is_empty(inter):
-                out.append(inter)
+    for cc in _complement_pieces(bc):
+        inter = intersect(cell, cc)
+        if not is_empty(inter):
+            out.append(inter)
     return out
 
 
 def difference(a: Region, b: Region) -> Region:
-    """Set difference a \\ b as a disjoint region."""
+    """Set difference a \\ b as a disjoint region.  A piece that misses a
+    cell of b stays as it is."""
     if a.cells and b.cells and a.dim != b.dim:
         raise ValueError("region dimensions differ")
     current = list(a.cells)
     for bc in b.cells:
-        current = _cut(current, bc)
+        rest = []
+        for piece in current:
+            if cells_disjoint(piece, bc):
+                rest.append(piece)
+            else:
+                rest += _outside(piece, bc)
+        current = rest
     return Region(tuple(current))
 
 
-def split(cell: Cell, region: Region) -> tuple[list[Cell], list[Cell]]:
-    """(inside, outside) of a cell cut by a disjoint region: intersect(cell,
-    rc) for each region cell rc proven to meet it, in region order, and
-    ``difference(Region((cell,)), region).cells``.  The pieces lie in the
-    cell, so a region cell that misses it is not tested against them, and
-    the uncut cell is not tested again against the first one it meets.
-    A cell that lies in rc has nothing outside it, and meets no other
-    region cell, so it is not cut."""
-    inside, outside = [], [cell]
-    for rc in region.cells:
-        if not boxes_overlap(cell, rc):
-            continue
-        inter = intersect(cell, rc)
-        if not is_empty(inter):
-            inside.append(inter)
-            outside = [] if _inside(cell, rc) else _cut(outside, rc, met=cell)
-    return inside, outside
+def split(cell: Cell, other: Cell) -> tuple[Optional[Cell], list[Cell]]:
+    """(inside, outside) of a cell cut by another: ``intersect(cell,
+    other)`` if it is proven non-empty, else None, and the pieces of
+    cell \\ other as ``difference`` gives them.  A cell that misses the
+    other is its own outside, and one that lies in it has none."""
+    if not boxes_overlap(cell, other):
+        return None, [cell]
+    inside = intersect(cell, other)
+    if is_empty(inside):
+        return None, [cell]
+    return inside, [] if _inside(cell, other) else _outside(cell, other)
 
 
 def _inside(cell: Cell, other: Cell) -> bool:
@@ -749,7 +745,7 @@ def apply_matrix(a_matrix: Matrix, x: Vector) -> Vector:
 def cell_subset(a: Cell, b: Cell) -> bool:
     """Exact test a <= b: a lies in b by its vertices, or it meets no
     complement piece of b."""
-    return _inside(a, b) or not _cut([a], b, met=a)
+    return _inside(a, b) or not _outside(a, b)
 
 
 def region_contains_point(region: Region, point: Sequence) -> bool:

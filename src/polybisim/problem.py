@@ -16,27 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .abstraction import (
-    MALFORMED,
-    REGION_DOMAIN,
-    REGION_OVERLAP,
-    ObservedRegion,
-    RegionError,
-    ValidatedRegions,
-    validate_regions,
-)
+from .abstraction import ObservedRegion, ValidatedRegions, validate_regions
+from .errors import GAMMA_ORDER, MALFORMED, RANK_DEFICIENT, RHO_RANGE, ProblemError
 from .geometry import Cell, Constraint, mat
 from .lyapunov import LinearSystem, PolyhedralLF, sublevel_cell
-
-RANK_DEFICIENT = "RANK_DEFICIENT"
-RHO_RANGE = "RHO_RANGE"
-GAMMA_ORDER = "GAMMA_ORDER"
-
-
-class ProblemError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -138,12 +121,9 @@ def parse_problem(doc: dict) -> ProblemSpec:
             regions.append(ObservedRegion(str(entry["name"]), cell))
         except ValueError as exc:
             raise ProblemError(MALFORMED, str(exc)) from exc
-    try:
-        validated = validate_regions(
-            sublevel_cell(lf, gamma_x), sublevel_cell(lf, gamma_d), regions
-        )
-    except RegionError as exc:
-        raise ProblemError(exc.code, str(exc)) from exc
+    validated = validate_regions(
+        sublevel_cell(lf, gamma_x), sublevel_cell(lf, gamma_d), regions
+    )
 
     return ProblemSpec(
         system=system,

@@ -67,10 +67,8 @@ def _polygon(points, fill: str, stroke: str, opacity: str = "1.0") -> str:
     )
 
 
-def render_partition_svg(
-    partition: Partition, highlight: Optional[Region] = None
-) -> str:
-    """Partition blocks colored by observation, highlight filled on top."""
+def render_partition_svg(partition: Partition) -> str:
+    """Partition blocks colored by observation."""
     if partition.dim != 2:
         raise ValueError("SVG export supports 2-D problems only")
     box = bounding_box(partition.x_cell)
@@ -91,13 +89,12 @@ def render_partition_svg(
             continue  # lower-dimensional sliver, invisible at fill scale
         fill = _FILL_BY_OBS.get(b.observation.label, _REGION_FILL)
         lines.append(_polygon(pts, fill, "#555555"))
-    return add_highlight("\n".join(lines) + "\n" + _END, highlight)
+    return "\n".join(lines) + "\n" + _END
 
 
 def add_highlight(text: str, highlight: Optional[Region]) -> str:
-    """A document of ``render_partition_svg`` with no highlight, with the
-    highlight's cells filled on top: the same text that rendering the
-    partition with that highlight gives, with no block drawn again."""
+    """A document of ``render_partition_svg`` with the highlight's cells
+    filled on top, with no block drawn again."""
     if highlight is None:
         return text
     lines = [text[: -len(_END)]]

@@ -12,6 +12,7 @@ from polybisim.abstraction import (
     OBS_TARGET,
     Observation,
     ObservedRegion,
+    QuotientTS,
     audit_partition,
     build_quotient,
     cell_of,
@@ -22,13 +23,11 @@ from polybisim.abstraction import (
     parse_quotient,
     quotient_word,
 )
-from polybisim.errors import InternalError
+from polybisim.errors import InternalError, ProblemError
 from polybisim.geometry import (
     Cell,
-    Region,
     constraint,
     contains_point,
-    region_contains_point,
     sample_point,
     vec,
 )
@@ -97,7 +96,12 @@ def test_initial_partition_structure():
     seq = level_sequence(1, 4, "0.5")
     levels = [sublevel_cell(lf, g) for g in seq.gammas]
     regions = [ObservedRegion("r1", box2(2, 3, -1, 1))]
-    part = initial_partition(levels[-1], levels[0], regions, slices(levels))
+    part = initial_partition(levels, regions)
+    assert [[c.constraints for c in s.cells] for s in part.slice_regions] == [
+        [c.constraints for c in s.cells] for s in slices(levels)
+    ]
+    assert part.levels == tuple(levels)
+    assert (part.d_cell, part.x_cell, part.dim) == (levels[0], levels[-1], 2)
     audits = audit_partition(part, regions)
     assert all(audits.values()), audits
     labels = {b.observation.label for b in part.blocks.values()}
@@ -110,48 +114,41 @@ def test_initial_partition_structure():
 def test_initial_partition_rejects_bad_regions():
     lf = PolyhedralLF.of([["1", "0"], ["0", "1"]], "0.5")
     seq = level_sequence(1, 4, "0.5")
-    x_cell = sublevel_cell(lf, 4)
-    d_cell = sublevel_cell(lf, 1)
-    sl = slices([sublevel_cell(lf, g) for g in seq.gammas])
-    with pytest.raises(ValueError):  # overlaps the target set
+    levels = [sublevel_cell(lf, g) for g in seq.gammas]
+    with pytest.raises(ProblemError, match="REGION_DOMAIN"):  # meets the target set
+        initial_partition(levels, [ObservedRegion("r1", box2(0, 2, 0, 1))])
+    with pytest.raises(ProblemError, match="MALFORMED"):  # duplicate labels
         initial_partition(
-            x_cell, d_cell, [ObservedRegion("r1", box2(0, 2, 0, 1))], sl
-        )
-    with pytest.raises(ValueError):  # duplicate labels
-        initial_partition(
-            x_cell,
-            d_cell,
+            levels,
             [
                 ObservedRegion("r1", box2(2, 3, -1, 1)),
                 ObservedRegion("r1", box2(-3, -2, -1, 1)),
             ],
-            sl,
         )
-    with pytest.raises(ValueError):  # mutual overlap
+    with pytest.raises(ProblemError, match="REGION_OVERLAP"):  # mutual overlap
         initial_partition(
-            x_cell,
-            d_cell,
+            levels,
             [
                 ObservedRegion("r1", box2(2, 3, -1, 1)),
                 ObservedRegion("r2", box2(2, 4, 0, 2)),
             ],
-            sl,
         )
 
 
 def test_find_pre_1d():
     sys = LinearSystem.of([["0.5"]])
     d_cell = Cell(1, [constraint([1], 1), constraint([-1], 1)])
-    pre = find_pre(Region.of([d_cell]), sys)
-    # the preimage of [-1,1] under x/2 is the whole of [-2,2], one cell
-    assert len(pre.cells) == 1
-    assert [(c.normal, c.offset, c.strict) for c in pre.cells[0].constraints] == [
+    pre = find_pre(d_cell, sys)
+    # the preimage of [-1,1] under x/2 is the whole of [-2,2]
+    assert [(c.normal, c.offset, c.strict) for c in pre.constraints] == [
         ((Fraction(1, 2),), 1, False),
         ((Fraction(-1, 2),), 1, False),
     ]
     for x in ("-2", "0", "0.5", "2"):
-        assert region_contains_point(pre, [F(x)])
-    assert not region_contains_point(pre, [F("2.5")])
+        assert contains_point(pre, [F(x)])
+    assert not contains_point(pre, [F("2.5")])
+    # under the zero map the preimage of a cell missing the origin is empty
+    assert find_pre(Cell(1, [constraint([-1], -1)]), LinearSystem.of([["0"]])) is None
 
 
 def test_build_quotient_small2d(small2d):
@@ -213,10 +210,16 @@ def test_library_callers_catch_typed_internal_errors():
     sys = LinearSystem.of([["0.5"]])
     lf = PolyhedralLF.of([["1"]], "0.5")
     quotient, partition = build_quotient(sys, lf, 1, 2, [])
-    outer = partition.cell_of([F("1.5")])
+    # 1 -> 2 -> 1 cycles without reaching the target 0
+    cycle = QuotientTS(
+        states=(0, 1, 2),
+        transitions={0: 0, 1: 2, 2: 1},
+        observations=dict.fromkeys((0, 1, 2), OBS_EMPTY),
+        target_state=0,
+    )
     caught = []
     try:
-        quotient_word(quotient, outer, max_len=1)  # too short for the target
+        quotient_word(cycle, 1)
     except InternalError as exc:
         caught.append(exc)
     del partition.blocks[partition.cell_of([F("-1.5")])]
@@ -296,13 +299,6 @@ def test_cell_of_and_observation_of_match_a_linear_scan(small2d):
     ]
     points = grid + _facet_points(cells)
     assert _check_point_location(partition, regions, points) > 1000
-    # with no level cells, every block is tested
-    levels, partition.levels = partition.levels, ()
-    try:
-        assert len(levels) == 3
-        assert _check_point_location(partition, regions, points) > 1000
-    finally:
-        partition.levels = levels
 
 
 def test_cell_of_matches_a_linear_scan_on_the_paper_fixture(paper_spec, paper_build):

@@ -628,32 +628,55 @@ def test_point_of_the_wrong_dimension_is_rejected():
             scale_point(bad, 2)
 
 
-def _split_reference(cell, region):
-    """split written out: each region cell tested against the cell on its
-    own, and the outside part as a set difference."""
-    inside = [intersect(cell, rc) for rc in region.cells]
-    inside = [c for c in inside if not is_empty(c)]
-    return inside, list(difference(Region((cell,)), region).cells)
+def _split_reference(cell, other):
+    """split written out: the intersection tested on its own, and the
+    outside part as a set difference."""
+    inside = intersect(cell, other)
+    outside = difference(Region((cell,)), Region((other,))).cells
+    return (None if is_empty(inside) else inside), list(outside)
 
 
-def _disjoint_region(rng, n):
-    """A region of pairwise-disjoint cells: the complement pieces of a box
-    (some strict), the parts of a random cell inside and outside another,
-    or no cell at all."""
-    kind = rng.random()
-    if kind < 0.45:
-        lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
-        rows = []
-        for j in range(n):
-            unit = [int(k == j) for k in range(n)]
-            rows.append(constraint(unit, hi, rng.random() < 0.3))
-            rows.append(constraint([-u for u in unit], -lo, rng.random() < 0.3))
-        rng.shuffle(rows)
-        return complement(Cell(n, rows))
-    if kind < 0.9:
-        a, b = _random_cell(rng, n), _random_cell(rng, n)
-        return Region.of([intersect(a, b)] + list(difference(Region.of([a]), Region((b,))).cells))
-    return Region(())
+def _checked_split(cell, other, points):
+    """split(cell, other), checked row for row against _split_reference and
+    point by point: a point of the cell lies in the inside part iff it
+    lies in the other cell, and else in exactly one outside piece."""
+    inside, outside = split(cell, other)
+    want_in, want_out = _split_reference(cell, other)
+    assert (inside is None) == (want_in is None)
+    if inside is not None:
+        assert inside.constraints == want_in.constraints
+    assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+    for p in points:
+        in_cell, in_other = contains_point(cell, p), contains_point(other, p)
+        assert (inside is not None and contains_point(inside, p)) == (
+            in_cell and in_other
+        )
+        assert sum(1 for c in outside if contains_point(c, p)) == int(
+            in_cell and not in_other
+        )
+    return inside, outside
+
+
+def _quarter_grid(lo, hi):
+    """The points of [lo, hi]^2 with coordinates in quarters."""
+    ticks = [Fraction(i, 4) for i in range(4 * lo, 4 * hi + 1)]
+    return [(x, y) for x in ticks for y in ticks]
+
+
+def _other_cell(rng, n):
+    """A cell to split by: a random cell, or a box with some strict rows,
+    or one of the box's complement pieces."""
+    if rng.random() < 0.5:
+        return _random_cell(rng, n)
+    lo, hi = rng.randrange(-3, 1), rng.randrange(1, 4)
+    rows = []
+    for j in range(n):
+        unit = [int(k == j) for k in range(n)]
+        rows.append(constraint(unit, hi, rng.random() < 0.3))
+        rows.append(constraint([-u for u in unit], -lo, rng.random() < 0.3))
+    rng.shuffle(rows)
+    box = Cell(n, rows)
+    return rng.choice((box,) + complement(box).cells)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -661,53 +684,56 @@ def test_split_matches_the_reference(n):
     rng = random.Random(700 + n)
     meets = Counter()
     for _ in range(100):
-        cell, region = _random_cell(rng, n), _disjoint_region(rng, n)
-        if region.cells and rng.random() < 0.2:  # a cell inside one region cell
-            cell = intersect(rng.choice(region.cells), cell)
+        cell, other = _random_cell(rng, n), _other_cell(rng, n)
+        if rng.random() < 0.2:  # a cell inside the other
+            cell = intersect(other, cell)
         if is_empty(cell):
             continue
-        inside, outside = split(cell, region)
-        want_in, want_out = _split_reference(cell, region)
-        assert [c.constraints for c in inside] == [c.constraints for c in want_in]
-        assert [c.constraints for c in outside] == [c.constraints for c in want_out]
-        meets[min(len(inside), 2), bool(outside)] += 1
-        for _ in range(20):
-            p = [Fraction(rng.randrange(-28, 29), 8) for _ in range(n)]
-            hits_in = sum(1 for c in inside if contains_point(c, p))
-            hits_out = sum(1 for c in outside if contains_point(c, p))
-            in_region = region_contains_point(region, p)
-            assert hits_in == int(contains_point(cell, p) and in_region)
-            assert hits_out == int(contains_point(cell, p) and not in_region)
-    # cells that meet no region cell, one (with and without a rest), and
-    # several all occur
-    assert min(meets[0, True], meets[1, True], meets[1, False], meets[2, True]) >= 5, meets
+        points = [
+            [Fraction(rng.randrange(-28, 29), 8) for _ in range(n)] for _ in range(20)
+        ]
+        inside, outside = _checked_split(cell, other, points)
+        meets[inside is not None, bool(outside)] += 1
+    # cells that miss the other, meet it with a rest, and lie in it all occur
+    assert min(meets[False, True], meets[True, True], meets[True, False]) >= 5, meets
+
+
+def _segment(x, ylo):
+    """The flat cell x = x, ylo <= y <= 2."""
+    return Cell(
+        2,
+        [constraint([1, 0], x), constraint([-1, 0], -x), constraint([0, 1], 2), constraint([0, -1], -ylo)],
+    )
 
 
 @pytest.mark.parametrize(
     "x, strict, parts",
     [
         # the segment x = 2, 0 <= y <= 2 crosses the face y = 1 of the box
-        # [1, 3]^2, whose complement keeps y < 1, or y <= 1 when the box
-        # is open
-        (2, False, (1, 1)),
-        (2, True, (1, 1)),
+        # [1, 3]^2, which keeps 1 <= y of it, or 1 < y when the box is open
+        (2, False, (True, 1)),
+        (2, True, (True, 1)),
         # on the face x = 1 the box keeps 1 <= y <= 2 of it, and the open
         # box none
-        (1, False, (1, 1)),
-        (1, True, (1, 0)),
+        (1, False, (True, 1)),
+        (1, True, (False, 1)),
     ],
 )
 def test_split_of_a_flat_cell(x, strict, parts):
-    cell = Cell(
-        2,
-        [constraint([1, 0], x), constraint([-1, 0], -x), constraint([0, 1], 2), constraint([0, -1], 0)],
+    inside, outside = _checked_split(
+        _segment(x, 0), box2(1, 3, strict), _quarter_grid(-1, 4)
     )
-    region = complement(box2(1, 3, strict))
-    inside, outside = split(cell, region)
-    want_in, want_out = _split_reference(cell, region)
-    assert [c.constraints for c in inside] == [c.constraints for c in want_in]
-    assert [c.constraints for c in outside] == [c.constraints for c in want_out]
-    assert (len(inside), len(outside)) == parts
+    assert (inside is not None, len(outside)) == parts
+
+
+@pytest.mark.parametrize("strict, rest", [(False, 0), (True, 1)])
+def test_split_of_a_flat_cell_inside_the_box(strict, rest):
+    # the segment x = 2, 1 <= y <= 2 lies in the box [1, 3]^2, which
+    # leaves nothing of it outside; the open box leaves the point y = 1
+    inside, outside = _checked_split(
+        _segment(2, 1), box2(1, 3, strict), _quarter_grid(-1, 4)
+    )
+    assert inside is not None and len(outside) == rest
 
 
 def test_split_decides_each_intersection_once(fallbacks, monkeypatch):
@@ -716,8 +742,7 @@ def test_split_decides_each_intersection_once(fallbacks, monkeypatch):
     meets = box2(1, 3)
     # its box overlaps the cell's box, but the cell lies in x + y >= 0
     corner = Cell(2, [constraint([-1, 0], 1), constraint([0, -1], 1), constraint([1, 1], F("-1/2"))])
-    region = Region((far, meets, corner))
-    for c in (cell,) + region.cells:
+    for c in (cell, far, meets, corner):
         bounding_box(c)
     decided = []
     real = geometry.is_empty
@@ -729,18 +754,19 @@ def test_split_decides_each_intersection_once(fallbacks, monkeypatch):
 
     monkeypatch.setattr(geometry, "is_empty", is_empty)
     fallbacks.clear()
-    inside, outside = split(cell, region)
-    # the cell meets `meets` and becomes inside[0]; the four complement
-    # pieces of `meets` cut the rest (x < 1 and x >= 1 with y < 1 stay,
-    # x > 3 and y > 3 are empty); the cell misses `corner`, which is then
-    # not tested against the rest's pieces.  The cell's corners decide all
-    # six, each once, with no Cramer box
+    assert split(cell, far) == (None, [cell]) and decided == []
+    assert split(cell, corner) == (None, [cell]) and len(decided) == 1
+    inside, outside = split(cell, meets)
+    # the cell meets `meets`, and the four complement pieces of `meets` cut
+    # the rest (x < 1 and x >= 1 with y < 1 stay, x > 3 and y > 3 are
+    # empty).  The cell's corners decide all six, each once, with no
+    # Cramer box
     assert fallbacks == []
     assert len(decided) == len(set(decided)) == 6
-    assert [c.constraints for c in inside] == [intersect(cell, meets).constraints]
+    assert inside.constraints == intersect(cell, meets).constraints
     assert len(outside) == 2
-    want_in, want_out = _split_reference(cell, region)
-    assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+    for other in (far, corner, meets):
+        _checked_split(cell, other, _quarter_grid(-1, 7))
 
 
 def _greedy_reference(cell):
@@ -903,28 +929,25 @@ def test_split_of_a_cell_inside_a_region_cell_solves_no_lp(fallbacks):
     cell = box2(1, 2)
     holds = box2(0, 2)  # holds on the whole box [1, 2]^2
     touches = box2(0, 2, strict=True)  # fails on its faces x = 2, y = 2
-    for rc in (holds, touches):
-        region = Region((box2(5, 6), rc))
-        for c in (cell,) + region.cells:
+    for other in (holds, touches):
+        for c in (cell, other):
             bounding_box(c)
         assert not is_empty(cell)
         fallbacks.clear()
-        inside, outside = split(cell, region)
+        inside, outside = split(cell, other)
         assert fallbacks == []
-        if rc is holds:
-            # every row of rc holds at every corner of the cell: the
+        if other is holds:
+            # every row of the other holds at every corner of the cell: the
             # intersection is the cell, with its vertices, centroid and box
             assert outside == []
-            assert geometry.vertices(inside[0]) == geometry.vertices(cell)
-            assert sample_point(inside[0]) == sample_point(cell)
-            assert bounding_box(inside[0]) == bounding_box(cell)
+            assert geometry.vertices(inside) == geometry.vertices(cell)
+            assert sample_point(inside) == sample_point(cell)
+            assert bounding_box(inside) == bounding_box(cell)
         else:
             # the open box's rows x < 2 and y < 2 are tight at corners of
             # the cell: its vertices are clipped, still with no Cramer box
             assert len(outside) == 2
-        want_in, want_out = _split_reference(cell, region)
-        assert [c.constraints for c in inside] == [c.constraints for c in want_in]
-        assert [c.constraints for c in outside] == [c.constraints for c in want_out]
+        _checked_split(cell, other, _quarter_grid(0, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -3,19 +3,14 @@ referenced somewhere in the package outside its own ``def``, so a helper
 left behind by a refactor fails here.  Every name a package module
 imports is read in that module, so an import left behind by a deleted
 helper fails too, and every name in a package class's ``__slots__`` is
-read somewhere in the package, so a cache no code reads fails as well."""
+read somewhere in the package, so a cache no code reads fails as well.
+The package's ``__init__.py`` re-exports everything it imports and is
+exempt from the import check."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polybisim"
-
-# Imported for callers, not read in the module: (module, name).  The
-# package's ``__init__.py`` re-exports everything it imports and is exempt.
-RE_EXPORTS = {
-    ("problem.py", "REGION_DOMAIN"),
-    ("problem.py", "REGION_OVERLAP"),
-}
 
 
 def _names(node):
@@ -53,11 +48,7 @@ def _unread_imports(tree, module):
                 imported.append(name)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-    return [
-        f"{module}:{name}"
-        for name in imported
-        if name not in read and (module, name) not in RE_EXPORTS
-    ]
+    return [f"{module}:{name}" for name in imported if name not in read]
 
 
 def test_every_import_is_read():

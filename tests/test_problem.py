@@ -12,7 +12,7 @@ import pytest
 from polybisim import geometry, lyapunov
 from polybisim.abstraction import build_quotient
 from polybisim.pipeline import run_pipeline
-from polybisim.problem import (
+from polybisim.errors import (
     GAMMA_ORDER,
     MALFORMED,
     RANK_DEFICIENT,
@@ -20,9 +20,8 @@ from polybisim.problem import (
     REGION_OVERLAP,
     RHO_RANGE,
     ProblemError,
-    load_problem,
-    parse_problem,
 )
+from polybisim.problem import load_problem, parse_problem
 
 
 def base_doc():

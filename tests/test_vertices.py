@@ -24,7 +24,6 @@ from polybisim.abstraction import find_pre
 from polybisim.geometry import (
     Cell,
     Constraint,
-    Region,
     apply_matrix,
     bounding_box,
     cell_subset,
@@ -314,9 +313,9 @@ def test_find_pre_takes_a_cramer_box_only_for_a_singular_a(lp_calls, fallbacks):
     # invertible: the preimage carries the target's corners mapped by A^-1
     a = LinearSystem.of([[2, 1], [1, 1]])
     fallbacks.clear()
-    pre = find_pre(Region((target,)), a)
-    assert fallbacks == [] and len(pre.cells) == 1
-    assert sorted(apply_matrix(a.a_matrix, v) for v in vertices(pre.cells[0])) == sorted(
+    pre = find_pre(target, a)
+    assert fallbacks == []
+    assert sorted(apply_matrix(a.a_matrix, v) for v in vertices(pre)) == sorted(
         vertices(target)
     )
     # rank 1, onto the diagonal: the preimage {1 <= x + y <= 2} of a box
@@ -326,12 +325,11 @@ def test_find_pre_takes_a_cramer_box_only_for_a_singular_a(lp_calls, fallbacks):
     rank_one = LinearSystem.of([[1, 1], [1, 1]])
     hit, miss = _box2(0, 2, 1, 3), _box2(1, 2, -2, -1)
     fallbacks.clear()
-    pre = find_pre(Region((hit,)), rank_one)
-    assert len(pre.cells) == 1
-    assert fallbacks == [hit.constraints, pre.cells[0].constraints]
-    assert contains_point(pre.cells[0], [5, -4]) and vertices(pre.cells[0]) is None
+    pre = find_pre(hit, rank_one)
+    assert fallbacks == [hit.constraints, pre.constraints]
+    assert contains_point(pre, [5, -4]) and vertices(pre) is None
     fallbacks.clear()
-    assert find_pre(Region((miss,)), rank_one).is_empty()
+    assert find_pre(miss, rank_one) is None
     assert len(fallbacks) == 2 and fallbacks[0] == miss.constraints
     assert lp_calls == []
 
@@ -372,7 +370,7 @@ def test_no_cell_takes_its_cramer_start_twice(fallbacks):
     assert started[0] is bounded and started[1] is unbounded and len(started) == 4
     assert bounding_box(unbounded) == ((0, None), (-1, None))
     target = _box2(0, 2, 1, 3)
-    pre = find_pre(Region((target,)), LinearSystem.of([[1, 1], [1, 1]])).cells[0]
+    pre = find_pre(target, LinearSystem.of([[1, 1], [1, 1]]))
     ask(pre)
     assert bounding_box(pre) == ((None, None), (None, None))
     assert pre in started and target in started
