@@ -32,7 +32,6 @@ from .pipeline import (
     EXIT_OK,
     run_pipeline,
 )
-from .errors import ProblemError
 from .problem import load_problem
 from .simulate import simulate as run_simulation
 
@@ -100,11 +99,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         spec = load_problem(args.problem)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
         if args.command == "check-lf":
             rho_star = verify_contraction(spec.lf, spec.system)
             ok = rho_star <= spec.lf.rho

@@ -6,9 +6,9 @@ pairwise-disjoint Cells.  Every predicate (emptiness, membership,
 redundancy) is decided exactly with rational arithmetic; there are no
 tolerances anywhere in this module.
 
-Both refinements cut one cell by another with ``split(cell, other)``:
-the part of the cell inside the other and the pieces outside it, the
-intersection decided once.
+Both refinements, and ``difference`` piece by piece, cut one cell by
+another with ``split(cell, other)``: the part of the cell inside the
+other and the pieces outside it, the intersection decided once.
 
 A cell caches the exact vertices of its relaxed closure R (its rows with
 every strict flag dropped) and, for each vertex, the bitmask of the rows
@@ -290,26 +290,21 @@ def _outside(cell: Cell, bc: Cell) -> list[Cell]:
 
 
 def difference(a: Region, b: Region) -> Region:
-    """Set difference a \\ b as a disjoint region.  A piece that misses a
-    cell of b stays as it is."""
+    """Set difference a \\ b as a disjoint region: each cell of b in turn
+    replaces every piece by its outside under ``split``, so a piece that
+    misses a cell of b stays as it is."""
     if a.cells and b.cells and a.dim != b.dim:
         raise ValueError("region dimensions differ")
     current = list(a.cells)
     for bc in b.cells:
-        rest = []
-        for piece in current:
-            if cells_disjoint(piece, bc):
-                rest.append(piece)
-            else:
-                rest += _outside(piece, bc)
-        current = rest
+        current = [c for piece in current for c in split(piece, bc)[1]]
     return Region(tuple(current))
 
 
 def split(cell: Cell, other: Cell) -> tuple[Optional[Cell], list[Cell]]:
     """(inside, outside) of a cell cut by another: ``intersect(cell,
     other)`` if it is proven non-empty, else None, and the pieces of
-    cell \\ other as ``difference`` gives them.  A cell that misses the
+    cell \\ other that ``_outside`` gives.  A cell that misses the
     other is its own outside, and one that lies in it has none."""
     if not boxes_overlap(cell, other):
         return None, [cell]
@@ -746,7 +741,3 @@ def cell_subset(a: Cell, b: Cell) -> bool:
     """Exact test a <= b: a lies in b by its vertices, or it meets no
     complement piece of b."""
     return _inside(a, b) or not _outside(a, b)
-
-
-def region_contains_point(region: Region, point: Sequence) -> bool:
-    return any(contains_point(c, point) for c in region.cells)

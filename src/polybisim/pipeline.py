@@ -90,10 +90,14 @@ def run_pipeline(
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "quotient.txt"), "w") as fh:
+        with open(
+            os.path.join(out_dir, "quotient.txt"), "w", encoding="utf-8"
+        ) as fh:
             fh.write(export_quotient(quotient, partition))
         if satisfying is not None:
-            with open(os.path.join(out_dir, "satisfying.txt"), "w") as fh:
+            with open(
+                os.path.join(out_dir, "satisfying.txt"), "w", encoding="utf-8"
+            ) as fh:
                 fh.write(export_satisfying(satisfying, quotient, partition))
         if svg:
             if spec.n == 2:

@@ -138,8 +138,8 @@ def parse_problem(doc: dict) -> ProblemSpec:
 
 def load_problem(path) -> ProblemSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProblemError(MALFORMED, f"cannot read problem file: {exc}") from exc
     return parse_problem(doc)

@@ -108,5 +108,5 @@ def add_highlight(text: str, highlight: Optional[Region]) -> str:
 
 
 def write_svg(path, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -9,13 +9,16 @@ a set of lasso words), keeping only the pairs reachable from the initial
 pairings.  ``f_star`` returns the product states with an accepting run,
 those that reach a cyclic strongly connected component meeting every
 acceptance set, and a state satisfies the formula exactly when one of its
-initial pairings has an accepting run.
+initial pairings has an accepting run.  Tarjan's algorithm finishes each
+component after every component it reaches, so ``f_star`` decides a
+component as it finishes, from its own edges and the answers already
+given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 from .abstraction import Partition, QuotientTS, _block_lines
 from .geometry import Region
@@ -135,29 +138,6 @@ def product(quotient: QuotientTS, b: BuchiAutomaton) -> ProductAutomaton:
     return ProductAutomaton(tuple(states), initial, transitions, acceptance)
 
 
-def _predecessors(
-    transitions: dict[Hashable, tuple], universe
-) -> dict[Hashable, list]:
-    preds: dict[Hashable, list] = {s: [] for s in universe}
-    for src, dsts in transitions.items():
-        for d in dsts:
-            preds[d].append(src)
-    return preds
-
-
-def _backward_closure(seeds, preds) -> set:
-    """All states with a path of length >= 0 into seeds."""
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        s = stack.pop()
-        for p in preds.get(s, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
 def _sccs(graph: dict) -> list[list]:
     """Iterative Tarjan strongly-connected components."""
     index = {}
@@ -207,17 +187,20 @@ def _sccs(graph: dict) -> list[list]:
 
 
 def f_star(p: ProductAutomaton) -> frozenset:
-    """The states with an accepting run: those with a path (of length
-    >= 0) into a cyclic strongly connected component that meets every
-    acceptance set."""
+    """The states with an accepting run.  Tarjan finishes a component
+    after every component it reaches, so one pass in that order marks a
+    component when it is fair (cyclic, meeting every acceptance set) or
+    one of its edges enters a state already marked."""
     graph = p.transitions
-    fair = set()
+    marked = set()
     for comp in _sccs(graph):
-        if (len(comp) > 1 or comp[0] in graph[comp[0]]) and all(
-            not acc.isdisjoint(comp) for acc in p.acceptance
+        succ = [d for s in comp for d in graph[s]]
+        if not marked.isdisjoint(succ) or (
+            (len(comp) > 1 or comp[0] in succ)
+            and all(not acc.isdisjoint(comp) for acc in p.acceptance)
         ):
-            fair.update(comp)
-    return frozenset(_backward_closure(fair, _predecessors(graph, p.states)))
+            marked.update(comp)
+    return frozenset(marked)
 
 
 def satisfying_states(

@@ -1,8 +1,9 @@
 """Reference automaton routines that the package no longer carries: the
 full synchronized product over every (quotient state, automaton state)
 pair, and the Emerson-Lei fixpoint characterization of the states with an
-accepting run.  Tests compare the package's reachable product and its
-SCC-based ``f_star`` with them.
+accepting run, with its own predecessor map and backward search, so it
+shares no code with ``f_star``.  Tests compare the package's reachable
+product and its SCC-based ``f_star`` with them.
 
 Also the lasso structure: every short lasso word as one state of a
 quotient-shaped structure, so that ``product`` and ``f_star`` decide which
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 from polybisim.logic import LassoWord
 from polybisim.verify import (
     ProductAutomaton,
-    _backward_closure,
     _check_atoms,
-    _predecessors,
     f_star,
     product,
     satisfying_states,
@@ -50,6 +49,27 @@ def full_product(quotient, b):
         for acc in b.acceptance
     )
     return ProductAutomaton(tuple(states), initial, transitions, acceptance)
+
+
+def _predecessors(transitions, universe):
+    preds = {s: [] for s in universe}
+    for src, dsts in transitions.items():
+        for d in dsts:
+            preds[d].append(src)
+    return preds
+
+
+def _backward_closure(seeds, preds):
+    """All states with a path of length >= 0 into seeds."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        s = stack.pop()
+        for p in preds.get(s, ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def f_star_fixpoint(p):

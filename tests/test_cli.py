@@ -156,6 +156,17 @@ def test_malformed_file_exit_code(tmp_path, capsys):
         assert "MALFORMED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"A": [["0.5"]], "\xff": 1}', b"[" * 100000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_unreadable_file_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["check-lf", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: MALFORMED: ")
+
+
 def test_contraction_failure_exit_code(tmp_path, capsys):
     doc = {
         "A": [["0.9"]],

@@ -395,6 +395,19 @@ def test_load_problem_bad_file(tmp_path):
         load_problem(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"A": [["0.5"]], "\xff": 1}', b"[" * 100000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_load_problem_unreadable_file(tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    with pytest.raises(ProblemError) as err:
+        load_problem(path)
+    assert err.value.code == MALFORMED
+    assert "cannot read problem file" in str(err.value)
+
+
 def test_load_fixtures(paper_path, toy_path):
     paper = load_problem(paper_path)
     assert paper.n == 2

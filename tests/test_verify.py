@@ -145,6 +145,28 @@ def test_dual_implementations_on_random_digraphs():
         ]
         p = automaton(edges, *acceptance)
         assert f_star_fixpoint(p) == f_star(p)
+    # chains of cycles, each with an edge into the next, of which only the
+    # last meets both acceptance sets: every chain state has an accepting
+    # run, whichever cycle Tarjan's walk starts at
+    for k in range(3, 6):
+        cycles = [
+            [("c", i, j) for j in range(rng.randrange(1, 4))] for i in range(k)
+        ]
+        chain = {}
+        for i, cyc in enumerate(cycles):
+            for j, s in enumerate(cyc):
+                chain[s] = [cyc[(j + 1) % len(cyc)]]
+            if i + 1 < k:
+                chain[rng.choice(cyc)].append(rng.choice(cycles[i + 1]))
+        for start in (cycles[0][0], cycles[k // 2][0], cycles[-1][0]):
+            edges = {start: chain[start]}
+            edges.update(chain)
+            acceptance = [
+                {s for cyc in cycles for s in cyc},
+                set(cycles[-1][-1:]),
+            ]
+            p = automaton(edges, *acceptance)
+            assert f_star(p) == f_star_fixpoint(p) == frozenset(chain)
 
 
 def _quotient_1d():
